@@ -18,6 +18,7 @@ from .catalog import (
     SeifertInvariants,
     builtin_groups,
     fiber_order_rule,
+    get_preset,
     lemma74_check,
     seifert_presentation,
 )

@@ -197,7 +197,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except KeyError as exc:  # unknown preset name
+        print(f"whdetect: error: {exc.args[0]}", file=sys.stderr)
+    except ValueError as exc:  # malformed datum, factor list, word or action
+        print(f"whdetect: error: {exc}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -51,11 +51,6 @@ class CosetTable:
     def n_cosets(self) -> int:
         return len(self.rows)
 
-    def apply_word(self, coset: int, w: Word) -> int:
-        for letter in w.letters:
-            coset = self.rows[coset][_col(letter)]
-        return coset
-
     def to_csv(self) -> str:
         """Dump as CSV: row = coset, one column per generator action."""
         header = "coset," + ",".join(
@@ -227,14 +222,6 @@ class FiniteGroupRealization:
     generator_images: tuple[int, ...]
     source: Presentation
 
-    def power(self, g: int, n: int) -> int:
-        if n < 0:
-            return self.power(self.inv[g], -n)
-        acc = 0
-        for _ in range(n):
-            acc = self.mul[acc][g]
-        return acc
-
     def conjugate(self, g: int, by: int) -> int:
         """by^-1 g by."""
         return self.mul[self.mul[self.inv[by]][g]][by]
@@ -294,6 +281,35 @@ def realize(t: CosetTable, p: Presentation) -> FiniteGroupRealization:
     inv = tuple(mul[a].index(0) for a in range(n))
     gen_images = tuple(t.rows[0][2 * g] for g in range(p.rank))
     return FiniteGroupRealization(n, mul, inv, gen_images, p)
+
+
+def word_tree(G: FiniteGroupRealization) -> list[tuple[int, int, int, int]]:
+    """BFS word tree of G from the identity, in discovery order.
+
+    One ``(element, parent, generator, sign)`` per element reached, with
+    element = parent . generator^sign.  Each parent tries a.g then a.g^-1 for
+    every generator g in turn, so reading the tree from the identity spells a
+    shortest word for each element.  Elements the generators do not reach are
+    absent.
+    """
+    steps = [
+        (h, g, s)
+        for g, img in enumerate(G.generator_images)
+        for h, s in ((img, 1), (G.inv[img], -1))
+    ]
+    seen = [False] * G.order
+    seen[0] = True
+    tree: list[tuple[int, int, int, int]] = []
+    queue = [0]
+    for a in queue:  # grows while iterated: a FIFO walk, level by level
+        row = G.mul[a]
+        for h, g, s in steps:
+            b = row[h]
+            if not seen[b]:
+                seen[b] = True
+                tree.append((b, a, g, s))
+                queue.append(b)
+    return tree
 
 
 def element_order(G: FiniteGroupRealization, g: int) -> int:

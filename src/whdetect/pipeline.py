@@ -208,9 +208,6 @@ class TableResult:
     checked: tuple[str, ...]
     diffs: tuple[TableDiff, ...]
 
-    def ambivalent_names(self, reports: dict[str, bool]) -> list[str]:
-        return sorted(n for n, amb in reports.items() if amb)
-
 
 def reproduce_table_73(
     max_order: int, budget: int = DEFAULT_MAX_COSETS

@@ -19,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
-from .coset import FiniteGroupRealization
+from .coset import FiniteGroupRealization, word_tree
 from .words import parse_word
 
 
@@ -111,23 +111,10 @@ def _element_names(G: FiniteGroupRealization) -> list[str]:
     """Short display names: a word in the generators per element, BFS order."""
     names = [""] * G.order
     names[0] = "1"
-    seen = {0}
-    frontier = [0]
     gens = G.source.generators
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, img in enumerate(G.generator_images):
-                for target, tag in (
-                    (G.mul[a][img], gens[g].name),
-                    (G.mul[a][G.inv[img]], f"{gens[g].name}^-1"),
-                ):
-                    if target not in seen:
-                        seen.add(target)
-                        prefix = "" if names[a] == "1" else names[a] + " "
-                        names[target] = prefix + tag
-                        nxt.append(target)
-        frontier = nxt
+    for b, a, g, s in word_tree(G):
+        tag = gens[g].name if s > 0 else f"{gens[g].name}^-1"
+        names[b] = tag if a == 0 else f"{names[a]} {tag}"
     return names
 
 

@@ -12,9 +12,12 @@ cross-checked in the tests:
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
 both Stiefel-Whitney twists vanish) permutes the basis by class inversion.
-The differential x -> x - (-1)^i x-bar, taken at i = 4, has kernel Z4 and
-the detection quotient (full space modulo Z4) has dimension equal to the
-number of inversion-swapped class pairs.
+The differential x -> x - (-1)^i x-bar, taken at i = 4, is id + bar: it
+kills every self-inverse class and sends both classes of a swapped pair to
+their sum.  So its rank, the detection quotient (full space modulo the
+kernel Z4), is the number p of swapped class pairs, and dim Z4 = s + p.
+The ranks are read off those counts; the tests check them against exact
+GF(2) elimination of the differential matrix on every catalog group.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import ConjugacyProfile
-from .coset import FiniteGroupRealization
+from .coset import FiniteGroupRealization, word_tree
 
 IntMatrix = list[list[int]]
 
@@ -46,10 +49,6 @@ class SmithNormalForm:
     diagonal: tuple[int, ...]
     U: tuple[tuple[int, ...], ...]
     V: tuple[tuple[int, ...], ...]
-
-    @property
-    def invariant_factors(self) -> tuple[int, ...]:
-        return self.diagonal
 
 
 def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
@@ -198,7 +197,7 @@ class CoefficientSystem:
 
     def action_of_generator(self, g: int) -> list[list[int]]:
         if self.action is None:
-            return [[int(i == j) for j in range(self.rank)] for i in range(self.rank)]
+            return _identity(self.rank)
         return [list(row) for row in self.action[g]]
 
 
@@ -213,112 +212,79 @@ class WhiteheadGroupResult:
     invariant_factors: tuple[int, ...]
     basis_labels: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
-    @property
-    def z2_dimension(self) -> int:
-        """Number of Z/2 factors (meaningful when all factors are 2)."""
-        return sum(1 for f in self.invariant_factors if f == 2)
+
+def _identity(r: int) -> IntMatrix:
+    return [[int(i == j) for j in range(r)] for i in range(r)]
 
 
-def _element_action(
-    G: FiniteGroupRealization, coeff: CoefficientSystem
-) -> list[list[list[int]]]:
-    """Action matrix of every group element, built along the BFS word tree."""
-    r = coeff.rank
-    ident = [[int(i == j) for j in range(r)] for i in range(r)]
+def _matmul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
 
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
 
-    mats: list[list[list[int]] | None] = [None] * G.order
-    mats[0] = ident
-    gen_mats = [coeff.action_of_generator(g) for g in range(len(G.generator_images))]
+def _reduce(mat: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
+    """Entries of column k modulo the k-th invariant factor (0 = none)."""
+    return [[x % f if f else x for x, f in zip(row, factors)] for row in mat]
 
-    def reduce_mod(mat):
-        out = [row[:] for row in mat]
-        for i, f in enumerate(coeff.invariant_factors):
-            if f:
-                for row in out:
-                    row[i] = row[i] % f
-        return out
 
-    # invert each generator matrix by computing its order as an automorphism
-    def mat_power_inverse(mat):
-        acc = reduce_mod(mat)
-        prev = ident
-        for _ in range(10000):
-            if acc == reduce_mod(ident):
-                return prev
-            prev = acc
-            acc = reduce_mod(matmul(acc, mat))
-        raise CoefficientError("action matrix is not of finite automorphism order")
-
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for g, img in enumerate(G.generator_images):
-                for target, step in (
-                    (G.mul[a][img], gen_mats[g]),
-                    (G.mul[a][G.inv[img]], mat_power_inverse(gen_mats[g])),
-                ):
-                    if mats[target] is None:
-                        mats[target] = reduce_mod(matmul(mats[a], step))
-                        nxt.append(target)
-        frontier = nxt
-    if any(mat is None for mat in mats):
-        raise CoefficientError("generators do not reach every element")
-    return mats  # type: ignore[return-value]
+def _inverse(mat: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
+    """mat^-1 as a power of mat, modulo Gamma's torsion."""
+    ident = _reduce(_identity(len(factors)), factors)
+    power = _identity(len(factors))
+    for _ in range(10000):  # larger orders are rejected as not finite
+        nxt = _reduce(_matmul(power, mat), factors)
+        if nxt == ident:
+            return power
+        power = nxt
+    raise CoefficientError("action matrix is not of finite automorphism order")
 
 
 def check_action_consistency(
     G: FiniteGroupRealization, coeff: CoefficientSystem
-) -> None:
-    """Verify the action matrices respect the defining relators of pi."""
-    if coeff.action is None:
-        return
-    r = coeff.rank
+) -> list[tuple[IntMatrix, IntMatrix]]:
+    """Validate the action against pi; return each generator's (matrix, inverse).
 
-    def matmul(a, b):
-        return [
-            [sum(a[i][k] * b[k][j] for k in range(r)) for j in range(r)]
-            for i in range(r)
-        ]
-
-    def reduce_mod(mat):
-        out = [row[:] for row in mat]
-        for i, f in enumerate(coeff.invariant_factors):
-            if f:
-                for row in out:
-                    row[i] = row[i] % f
-        return out
-
-    ident = reduce_mod([[int(i == j) for j in range(r)] for i in range(r)])
-    gen_mats = [coeff.action_of_generator(g) for g in range(len(G.generator_images))]
-    # relator check only needs positive powers: use the automorphism order trick
+    The action must give one r x r integer matrix per presentation generator
+    of pi, each of finite order modulo Gamma's torsion, whose products along
+    every defining relator of pi are the identity.  Raises
+    :class:`CoefficientError` otherwise.
+    """
+    r, factors = coeff.rank, coeff.invariant_factors
+    n_gens = len(G.generator_images)
+    if coeff.action is not None and (
+        len(coeff.action) != n_gens
+        or any(len(m) != r or any(len(row) != r for row in m) for m in coeff.action)
+    ):
+        raise CoefficientError(
+            f"action needs one {r}x{r} matrix per generator of pi ({n_gens})"
+        )
+    gen_mats = [coeff.action_of_generator(g) for g in range(n_gens)]
+    actions = [(mat, _inverse(mat, factors)) for mat in gen_mats]
+    ident = _reduce(_identity(r), factors)
     for rel in G.source.relators:
-        acc = [[int(i == j) for j in range(r)] for i in range(r)]
+        acc = _identity(r)
         for g, s in rel.letters:
-            mat = gen_mats[g]
-            if s < 0:
-                # mat^-1 as a power of mat (the action has finite order)
-                inv = None
-                power = [[int(i == j) for j in range(r)] for i in range(r)]
-                for _ in range(10000):
-                    if reduce_mod(matmul(power, mat)) == ident:
-                        inv = power
-                        break
-                    power = reduce_mod(matmul(power, mat))
-                if inv is None:
-                    raise CoefficientError("action matrix not invertible")
-                mat = inv
-            acc = reduce_mod(matmul(acc, mat))
+            acc = _reduce(_matmul(acc, actions[g][0 if s > 0 else 1]), factors)
         if acc != ident:
             raise CoefficientError(
                 f"action does not respect relator {rel.display(G.source.generators)}"
             )
+    return actions
+
+
+def _element_action(
+    G: FiniteGroupRealization, coeff: CoefficientSystem
+) -> list[IntMatrix]:
+    """Action matrix of every group element, built along the BFS word tree."""
+    actions = check_action_consistency(G, coeff)
+    mats: list[IntMatrix | None] = [None] * G.order
+    mats[0] = _identity(coeff.rank)
+    for b, a, g, s in word_tree(G):
+        step = actions[g][0 if s > 0 else 1]
+        mats[b] = _reduce(_matmul(mats[a], step), coeff.invariant_factors)
+    if any(mat is None for mat in mats):
+        raise CoefficientError("generators do not reach every element")
+    return mats  # type: ignore[return-value]
 
 
 def wh1_general(
@@ -332,7 +298,6 @@ def wh1_general(
     each pi generator g2 and every g1, and the identity coordinate killed.
     The cokernel is read off a Smith normal form.
     """
-    check_action_consistency(G, coeff)
     r = coeff.rank
     n = G.order
     ncols = r * n
@@ -405,38 +370,18 @@ class InvolutionSpace:
         return d % 2
 
 
-def _gf2_rank(mat: np.ndarray) -> int:
-    a = (np.array(mat, dtype=np.int64) % 2).copy()
-    rank = 0
-    rows, cols = a.shape
-    for j in range(cols):
-        pivot = None
-        for i in range(rank, rows):
-            if a[i, j]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        a[[rank, pivot]] = a[[pivot, rank]]
-        for i in range(rows):
-            if i != rank and a[i, j]:
-                a[i] ^= a[rank]
-        rank += 1
-    return rank
-
-
 def involution_space(profile: ConjugacyProfile) -> InvolutionSpace:
     """Build the involution space of a conjugacy profile.
 
-    The kernel dimension of id + bar is computed by exact GF(2) elimination
-    rather than trusted from the s/p counts; the tests assert they agree.
+    id + bar has rank p, the number of swapped class pairs, so the detection
+    quotient has dimension p and Z4 = ker(id + bar) has dimension s + p.
+    Both are read off ``profile.paired_count``; the tests check them against
+    exact GF(2) elimination of :meth:`InvolutionSpace.differential_matrix`.
     """
     dim = profile.n_classes - 1
     bar = tuple(profile.inversion_perm[c + 1] - 1 for c in range(dim))
-    space = InvolutionSpace(dim, bar, 0, dim, 0)
-    d4 = space.differential_matrix(4)
-    rank = _gf2_rank(d4)
-    return InvolutionSpace(dim, bar, rank, dim - rank, rank)
+    p = profile.paired_count
+    return InvolutionSpace(dim, bar, p, dim - p, p)
 
 
 def detection_rank(profile: ConjugacyProfile) -> int:
@@ -445,4 +390,4 @@ def detection_rank(profile: ConjugacyProfile) -> int:
     Positive exactly when the group is not ambivalent, in which case there
     are homeomorphisms pseudo-isotopic but not isotopic to the identity.
     """
-    return involution_space(profile).quotient_dim
+    return profile.paired_count

@@ -1,9 +1,26 @@
 import functools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from whdetect.coset import realize_presentation
 from whdetect.words import make_presentation
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def run_python(*args: str) -> subprocess.CompletedProcess:
+    """Run a Python child process with this checkout's ``src`` first on its path."""
+    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT,
+        timeout=300,
+    )
 
 
 @functools.lru_cache(maxsize=None)

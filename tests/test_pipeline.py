@@ -12,6 +12,8 @@ from whdetect.pipeline import (
 )
 from whdetect.words import make_presentation
 
+from conftest import run_python
+
 
 # ---------------------------------------------------------------------------
 # Verdict gating
@@ -172,6 +174,24 @@ def test_cli_steinberg_eval(capsys):
     assert code == 0
     assert "PD form: yes" in out
     assert "K2 member: no" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--preset", "nope"],
+        ["analyze", "--seifert", "0,zz,1"],
+        ["wh1", "--preset", "cyclic_4", "--gamma", "x"],
+        ["steinberg", "eval", "--group", "cyclic_4", "--word", "y(1,2)"],
+    ],
+    ids=["unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word"],
+)
+def test_cli_input_error_is_one_line_exit_2(argv):
+    r = run_python("-m", "whdetect.cli", *argv)
+    assert r.returncode == 2
+    assert "Traceback" not in r.stderr
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stdout == ""
 
 
 def test_cli_catalog_formats(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.whitehead import (
+    CoefficientError,
     CoefficientSystem,
     cokernel_invariants,
     detection_rank,
@@ -197,6 +198,36 @@ def test_differential_properties(G):
     assert np.array_equal(sp.differential_matrix(3), d4)
 
 
+def _gf2_rank(mat: np.ndarray) -> int:
+    """Rank over GF(2) by exact Gaussian elimination."""
+    a = (np.array(mat, dtype=np.int64) % 2).copy()
+    rank = 0
+    rows, cols = a.shape
+    for j in range(cols):
+        pivot = None
+        for i in range(rank, rows):
+            if a[i, j]:
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        a[[rank, pivot]] = a[[pivot, rank]]
+        for i in range(rows):
+            if i != rank and a[i, j]:
+                a[i] ^= a[rank]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize("G", FULL_CATALOG, ids=lambda g: f"order{g.order}")
+def test_ranks_match_gf2_elimination(G):
+    """The ranks read off the class-pair count agree with elimination of d4."""
+    sp = involution_space(conjugacy_classes(G))
+    rank = _gf2_rank(sp.differential_matrix(4))
+    assert sp.quotient_dim == sp.d4_rank == rank
+    assert sp.z4_dim == sp.dim - rank
+
+
 def test_detection_rank_z5():
     assert detection_rank(conjugacy_classes(cyclic_group(5))) == 2
 
@@ -222,6 +253,19 @@ def test_inconsistent_action_rejected():
     bad = CoefficientSystem((7,), (((2,),),))
     with pytest.raises(CoefficientError):
         check_action_consistency(G, bad)
+
+
+@pytest.mark.parametrize(
+    "coeff",
+    [
+        CoefficientSystem((0,), ()),  # no matrix for the generator
+        CoefficientSystem((0, 0), (((-1,),),)),  # 1x1 matrix on a rank-2 Gamma
+        CoefficientSystem((0,), (((1, 0), (0, 1)),)),  # 2x2 matrix on a rank-1 Gamma
+    ],
+)
+def test_action_shape_rejected(coeff):
+    with pytest.raises(CoefficientError):
+        wh1_general(cyclic_group(2), coeff)
 
 
 def test_sign_action_consistent():
