@@ -25,7 +25,7 @@ from .catalog import (
     builtin_groups,
     get_preset,
 )
-from .coset import DEFAULT_MAX_COSETS, realize_presentation
+from .coset import DEFAULT_MAX_COSETS, EnumerationBudgetExceeded, realize_presentation
 from .pipeline import SCHEMA_VERSION, analyze, reproduce_table_73
 from .steinberg import evaluate, k2_membership, parse_steinberg_word, pd_decompose
 from .whitehead import CoefficientSystem, wh1_general
@@ -202,6 +202,8 @@ def main(argv: list[str] | None = None) -> int:
     except KeyError as exc:  # unknown preset name
         print(f"whdetect: error: {exc.args[0]}", file=sys.stderr)
     except ValueError as exc:  # malformed datum, factor list, word or action
+        print(f"whdetect: error: {exc}", file=sys.stderr)
+    except (EnumerationBudgetExceeded, OSError) as exc:  # budget too small, unreadable file
         print(f"whdetect: error: {exc}", file=sys.stderr)
     return 2
 

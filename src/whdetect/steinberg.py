@@ -91,20 +91,23 @@ class GroupRingElement:
         return None
 
     def display(self) -> str:
-        if not self.terms:
-            return "0"
-        gens = self.group.source.generators
-        names = _element_names(self.group)
-        parts = []
-        for g, c in self.terms:
-            base = names[g]
-            if c == 1:
-                parts.append(base)
-            elif c == -1:
-                parts.append(f"-{base}")
-            else:
-                parts.append(f"{c}*{base}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return _format(self, _element_names(self.group))
+
+
+def _format(x: GroupRingElement, names: list[str]) -> str:
+    """Display form of x, given the name of every group element."""
+    if not x.terms:
+        return "0"
+    parts = []
+    for g, c in x.terms:
+        base = names[g]
+        if c == 1:
+            parts.append(base)
+        elif c == -1:
+            parts.append(f"-{base}")
+        else:
+            parts.append(f"{c}*{base}")
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _element_names(G: FiniteGroupRealization) -> list[str]:
@@ -221,7 +224,8 @@ class GroupRingMatrix:
         )
 
     def display(self) -> str:
-        cells = [[e.display() for e in row] for row in self.entries]
+        names = _element_names(self.group)
+        cells = [[_format(e, names) for e in row] for row in self.entries]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(
             "[ " + "  ".join(c.rjust(width) for c in row) + " ]" for row in cells

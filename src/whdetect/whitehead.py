@@ -1,14 +1,21 @@
 """First Whitehead groups with coefficients, their duality involution, and
 the detection quotient.
 
-Two computation paths are provided for Wh1(pi; Z/2) with trivial action and
-cross-checked in the tests:
+Wh1(pi; Gamma), for any finitely generated Gamma with a pi-action, is the
+quotient of Gamma[pi] by the twisted conjugation relations and the identity
+coordinate.  The relations keep each conjugacy class apart, and by
+Shapiro's lemma for the conjugation permutation module (Brown, Cohomology
+of Groups, ch. III; Oliver, Whitehead Groups of Finite Groups, 1988)
 
-* the general route: build the integer relation matrix of the twisted
-  conjugation relations on Gamma[pi], kill the identity coordinate, and read
-  the cokernel off a Smith normal form;
-* the fast route: the free Z/2-vector space on the nontrivial conjugacy
-  classes.
+    Wh1(pi; Gamma) = sum over classes [x] != 1 of H0(C(x); Gamma).
+
+``wh1_general`` computes each summand as the cokernel of an r-column
+matrix: Gamma's torsion and I - M_c for the Schreier generators c of the
+centralizer C(x) found while walking the class, each by a certified Smith
+normal form.  The tests compare it with ``wh1_dense``, one Smith normal
+form of the whole (r * |pi|)-column relation matrix.  For Gamma = Z/2 with
+the trivial action, ``wh1_z2_fast`` gives the free Z/2-vector space on the
+nontrivial conjugacy classes, and the tests check the two routes agree.
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
 both Stiefel-Whitney twists vanish) permutes the basis by class inversion.
@@ -23,12 +30,13 @@ GF(2) elimination of the differential matrix on every catalog group.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd
 from typing import Sequence
 
 import numpy as np
 
 from .analysis import ConjugacyProfile
-from .coset import FiniteGroupRealization, word_tree
+from .coset import FiniteGroupRealization
 
 IntMatrix = list[list[int]]
 
@@ -245,8 +253,11 @@ def check_action_consistency(
     """Validate the action against pi; return each generator's (matrix, inverse).
 
     The action must give one r x r integer matrix per presentation generator
-    of pi, each of finite order modulo Gamma's torsion, whose products along
-    every defining relator of pi are the identity.  Raises
+    of pi.  Row k is the image of Gamma's k-th generator gamma_k, so each
+    matrix must be an endomorphism of Gamma: f_k * M[k][j] = 0 modulo f_j
+    (f = 0 meaning Z), or gamma_k would not keep its order f_k.  Each
+    matrix must be of finite order modulo Gamma's torsion, and the products
+    along every defining relator of pi must be the identity.  Raises
     :class:`CoefficientError` otherwise.
     """
     r, factors = coeff.rank, coeff.invariant_factors
@@ -259,6 +270,14 @@ def check_action_consistency(
             f"action needs one {r}x{r} matrix per generator of pi ({n_gens})"
         )
     gen_mats = [coeff.action_of_generator(g) for g in range(n_gens)]
+    for g, mat in enumerate(gen_mats):
+        for k, fk in enumerate(factors):
+            for j, fj in enumerate(factors):
+                if (fk * mat[k][j]) % fj if fj else fk * mat[k][j]:
+                    raise CoefficientError(
+                        f"action of generator {g} is not an endomorphism of"
+                        f" Gamma: row {k} does not respect the order {fk}"
+                    )
     actions = [(mat, _inverse(mat, factors)) for mat in gen_mats]
     ident = _reduce(_identity(r), factors)
     for rel in G.source.relators:
@@ -272,67 +291,78 @@ def check_action_consistency(
     return actions
 
 
-def _element_action(
-    G: FiniteGroupRealization, coeff: CoefficientSystem
-) -> list[IntMatrix]:
-    """Action matrix of every group element, built along the BFS word tree."""
-    actions = check_action_consistency(G, coeff)
-    mats: list[IntMatrix | None] = [None] * G.order
-    mats[0] = _identity(coeff.rank)
-    for b, a, g, s in word_tree(G):
-        step = actions[g][0 if s > 0 else 1]
-        mats[b] = _reduce(_matmul(mats[a], step), coeff.invariant_factors)
-    if any(mat is None for mat in mats):
-        raise CoefficientError("generators do not reach every element")
-    return mats  # type: ignore[return-value]
+def _invariant_chain(summands: list[int]) -> tuple[int, ...]:
+    """Invariant factors of a direct sum of cyclic groups Z/d (d = 0: Z).
+
+    Pairwise gcd/lcm steps (Z/a + Z/b = Z/gcd + Z/lcm) turn the torsion
+    orders into a divisibility chain; units are dropped and one 0 follows
+    per free summand, the form :func:`cokernel_invariants` reports.
+    """
+    torsion = sorted(d for d in summands if d > 1)
+    for i in range(len(torsion)):
+        for j in range(i + 1, len(torsion)):
+            a, b = torsion[i], torsion[j]
+            if b % a:
+                g = gcd(a, b)
+                torsion[i], torsion[j] = g, a // g * b
+    return tuple(d for d in torsion if d != 1) + (0,) * summands.count(0)
 
 
 def wh1_general(
     G: FiniteGroupRealization, coeff: CoefficientSystem
 ) -> WhiteheadGroupResult:
-    """Wh1(pi; Gamma) via the quotient presentation of Gamma[pi].
+    """Wh1(pi; Gamma) as a sum of centralizer coinvariants, one per class.
 
-    Relations imposed on the free module with basis (Gamma generator, group
-    element): torsion of Gamma in each coordinate, the twisted conjugation
-    relation gamma.g1 - (g2.gamma).(g2 g1 g2^-1) for each Gamma generator,
-    each pi generator g2 and every g1, and the identity coordinate killed.
-    The cokernel is read off a Smith normal form.
+    The relations gamma.g ~ (s.gamma).(s g s^-1), one per generator image s,
+    join the coordinates of each conjugacy class into a graph.  A spanning
+    tree grown from x identifies each coordinate y with x through P_y, the
+    product of action matrices along its tree path; every other edge y -> z
+    by s closes a cycle, a Schreier generator c of the centralizer C(x)
+    acting by M_c = P_y M(s) P_z^-1.  The summand of the class is
+    H0(C(x); Gamma), the cokernel of Gamma's torsion rows and the rows of
+    I - M_c (Shapiro's lemma, see the module docstring); the summands merge
+    into one divisibility chain.  ``wh1_dense`` in the tests builds the whole
+    relation matrix instead and must agree.
     """
-    r = coeff.rank
-    n = G.order
-    ncols = r * n
-
-    def col(k: int, g: int) -> int:
-        return k * n + g
-
-    mats = _element_action(G, coeff)
-    rows: IntMatrix = []
-    # torsion relations
-    for k, f in enumerate(coeff.invariant_factors):
-        if f:
-            for g in range(n):
-                row = [0] * ncols
-                row[col(k, g)] = f
-                rows.append(row)
-    # kill the identity coordinate: beta . 1 for every Gamma generator
-    for k in range(r):
-        row = [0] * ncols
-        row[col(k, 0)] = 1
-        rows.append(row)
-    # twisted conjugation: gamma g1 - (g2 . gamma)(g2 g1 g2^-1)
-    for g2_img in set(G.generator_images):
-        act = mats[g2_img]
-        for k in range(r):
-            for g1 in range(n):
-                conj = G.mul[G.mul[g2_img][g1]][G.inv[g2_img]]
-                row = [0] * ncols
-                row[col(k, g1)] += 1
-                for k2 in range(r):
-                    # (g2 . gamma_k) expressed in the Gamma basis
-                    row[col(k2, conj)] -= act[k][k2]
-                rows.append(row)
-    factors = cokernel_invariants(rows, ncols)
-    return WhiteheadGroupResult(factors)
+    actions = check_action_consistency(G, coeff)
+    factors, r = coeff.invariant_factors, coeff.rank
+    torsion = [[f * (i == k) for i in range(r)] for k, f in enumerate(factors) if f]
+    ident = _reduce(_identity(r), factors)
+    steps: dict[int, tuple[IntMatrix, IntMatrix]] = {}
+    for img, pair in zip(G.generator_images, actions):
+        if img:  # conjugating by the identity relates nothing
+            steps.setdefault(G.inv[img], pair)  # s g s^-1 = conjugate(g, s^-1)
+    cokernels: dict[frozenset, tuple[int, ...]] = {}
+    tree: dict[int, tuple[IntMatrix, IntMatrix]] = {}  # y -> (P_y, P_y^-1)
+    summands: list[int] = []
+    for x in range(1, G.order):
+        if x in tree:
+            continue
+        tree[x] = (ident, ident)
+        queue = [x]
+        loops = set()
+        for y in queue:  # grows while iterated: a FIFO walk over the class
+            p, p_inv = tree[y]
+            for by, (mat, mat_inv) in steps.items():
+                z = G.conjugate(y, by)
+                path = _reduce(_matmul(p, mat), factors)
+                if z not in tree:
+                    tree[z] = (path, _reduce(_matmul(mat_inv, p_inv), factors))
+                    queue.append(z)
+                else:
+                    loop = _reduce(_matmul(path, tree[z][1]), factors)
+                    if loop != ident:
+                        loops.add(tuple(map(tuple, loop)))
+        key = frozenset(loops)
+        if key not in cokernels:
+            rows = torsion + [
+                [int(i == j) - c for j, c in enumerate(row)]
+                for loop in sorted(key)
+                for i, row in enumerate(loop)
+            ]
+            cokernels[key] = cokernel_invariants(rows, r)
+        summands.extend(cokernels[key])
+    return WhiteheadGroupResult(_invariant_chain(summands))
 
 
 def wh1_z2_fast(profile: ConjugacyProfile) -> WhiteheadGroupResult:

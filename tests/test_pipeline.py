@@ -183,8 +183,13 @@ def test_cli_steinberg_eval(capsys):
         ["analyze", "--seifert", "0,zz,1"],
         ["wh1", "--preset", "cyclic_4", "--gamma", "x"],
         ["steinberg", "eval", "--group", "cyclic_4", "--word", "y(1,2)"],
+        ["wh1", "--preset", "cyclic_5", "--budget", "2"],
+        ["analyze", "--presentation", "/nonexistent/presentation.txt"],
     ],
-    ids=["unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word"],
+    ids=[
+        "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
+        "budget-exhausted", "missing-presentation-file",
+    ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
     r = run_python("-m", "whdetect.cli", *argv)

@@ -152,6 +152,21 @@ def test_w_element_product_is_pd():
     assert pd_decompose(evaluate(w, 2, G)) is not None
 
 
+def test_matrix_display_walks_word_tree_once(monkeypatch):
+    from whdetect import steinberg
+
+    G = binary_polyhedral_group(3)
+    a, b = G.generator_images
+    M = evaluate(w_element(1, 2, G, a, 1) * w_element(3, 8, G, b, -1), 8, G)
+    walks = []
+    real = steinberg.word_tree
+    monkeypatch.setattr(steinberg, "word_tree", lambda H: walks.append(H) or real(H))
+    text = M.display()
+    assert len(walks) == 1
+    cell = next(e for row in M.entries for e in row if not e.is_zero())
+    assert cell.display() in text
+
+
 def test_w_element_rejects_equal_indices():
     with pytest.raises(SteinbergError):
         w_element(1, 1, group((), ()), 0, 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -5,9 +6,12 @@ import numpy as np
 import pytest
 
 from whdetect.analysis import conjugacy_classes, is_ambivalent
+from whdetect.catalog import builtin_groups
+from whdetect.coset import realize_presentation, word_tree
 from whdetect.whitehead import (
     CoefficientError,
     CoefficientSystem,
+    check_action_consistency,
     cokernel_invariants,
     detection_rank,
     involution_space,
@@ -134,6 +138,116 @@ def test_wh1_fast_examples(q8):
     assert res.basis_labels == prof.classes[1:]
     assert wh1_z2_fast(conjugacy_classes(group((), ()))).invariant_factors == ()
     assert wh1_z2_fast(conjugacy_classes(q8)).invariant_factors == (2,) * 4
+
+
+def wh1_dense(G, coeff):
+    """Wh1(pi; Gamma) from the whole relation matrix on Gamma[pi]: the oracle.
+
+    Columns are (Gamma generator k, group element g).  Rows: the torsion of
+    Gamma in every coordinate, the identity coordinate, and for each
+    generator image s the twisted conjugation relation
+    gamma_k.g - (s.gamma_k).(s g s^-1).  One Smith normal form of the
+    (r*n)-column matrix gives the cokernel.
+    """
+    actions = check_action_consistency(G, coeff)
+    r, n, factors = coeff.rank, G.order, coeff.invariant_factors
+
+    def reduce(mat):
+        return [[x % f if f else x for x, f in zip(row, factors)] for row in mat]
+
+    # the action matrix of every element, along the BFS word tree
+    mats = {0: [[int(i == j) for j in range(r)] for i in range(r)]}
+    for b, a, g, s in word_tree(G):
+        step = actions[g][0 if s > 0 else 1]
+        mats[b] = reduce((np.array(mats[a], dtype=object) @ np.array(step, dtype=object)).tolist())
+
+    def unit(k, g):
+        row = [0] * (r * n)
+        row[k * n + g] = 1
+        return row
+
+    rows = [[f * x for x in unit(k, g)] for k, f in enumerate(factors) if f for g in range(n)]
+    rows += [unit(k, 0) for k in range(r)]
+    for s in set(G.generator_images):
+        for k in range(r):
+            for g in range(n):
+                row = unit(k, g)
+                conj = G.mul[G.mul[s][g]][G.inv[s]]
+                for k2 in range(r):
+                    row[k2 * n + conj] -= mats[s][k][k2]
+                rows.append(row)
+    return cokernel_invariants(rows, r * n)
+
+
+def _outcome(route, G, coeff):
+    try:
+        return tuple(route(G, coeff))
+    except CoefficientError:
+        return "CoefficientError"
+
+
+def _per_class(G, coeff):
+    return wh1_general(G, coeff).invariant_factors
+
+
+BENCH_GAMMAS = ((2,), (0,), (6,), (0, 4), (2, 2))
+
+
+def _diagonal(signs, r):
+    return tuple(tuple(tuple(e * (i == j) for j in range(r)) for i in range(r)) for e in signs)
+
+
+@pytest.mark.parametrize("entry", builtin_groups(24), ids=lambda e: e.name)
+def test_wh1_general_matches_dense_oracle(entry):
+    """The per-class route equals the dense relation matrix under the trivial
+    action and every sign action; both reject the inconsistent ones."""
+    G = realize_presentation(entry.presentation)
+    signs = list(itertools.product((1, -1), repeat=len(G.generator_images)))
+    for gamma in BENCH_GAMMAS:
+        for action in [None] + [_diagonal(v, len(gamma)) for v in signs if -1 in v]:
+            coeff = CoefficientSystem(gamma, action)
+            assert _outcome(_per_class, G, coeff) == _outcome(wh1_dense, G, coeff)
+
+
+def _perm(p):
+    return tuple(tuple(int(p[i] == j) for j in range(len(p))) for i in range(len(p)))
+
+
+NON_DIAGONAL = [
+    # S3 permuting three coordinates
+    *[(dihedral_group(3), (f,) * 3, (_perm((1, 2, 0)), _perm((0, 2, 1)))) for f in (3, 6, 0)],
+    # D4 and D6 rotating the square and the hexagonal lattice
+    (dihedral_group(4), (0, 0), (((0, -1), (1, 0)), ((1, 0), (0, -1)))),
+    (dihedral_group(6), (0, 0), (((0, -1), (1, 1)), ((0, 1), (1, 0)))),
+    # two sign characters on Z/3 + Z/4: the classes give Z/2, Z/6 and Z/4
+    (dihedral_group(4), (3, 4), (((1, 0), (0, -1)), ((-1, 0), (0, 1)))),
+    # a unipotent automorphism of Z/2 + Z/4
+    *[(cyclic_group(n), (2, 4), (((1, 0), (2, 1)),)) for n in (2, 4, 6)],
+    # the Frobenius group of order 21 permuting seven points; a -> a^-1,
+    # b -> b^-1 is no automorphism of it, so the cycle matrices must multiply
+    # in the order the relations give them to match the oracle
+    (
+        group(("a", "b"), ("a^7", "b^3", "b^-1 a b a^-2")),
+        (2,) * 7,
+        (_perm(tuple((i + 1) % 7 for i in range(7))), _perm(tuple(2 * i % 7 for i in range(7)))),
+    ),
+    # inconsistent inputs: a relator not respected, and not an endomorphism
+    (dihedral_group(4), (0, 0), (((0, -1), (1, 0)), ((0, 1), (1, 0)))),
+    (dihedral_group(3), (0, 3, 0), (_perm((1, 2, 0)), _perm((0, 2, 1)))),
+]
+
+
+@pytest.mark.parametrize(
+    "G, gamma, action",
+    NON_DIAGONAL,
+    ids=[
+        "S3-Z3^3", "S3-Z6^3", "S3-Z^3", "D4-Z^2", "D6-Z^2", "D4-Z3+Z4", "C2-Z2+Z4", "C4-Z2+Z4",
+        "C6-Z2+Z4", "F21-Z2^7", "D4-bad-relator", "S3-not-endomorphism",
+    ],
+)
+def test_wh1_general_matches_dense_oracle_non_diagonal(G, gamma, action):
+    coeff = CoefficientSystem(gamma, action)
+    assert _outcome(_per_class, G, coeff) == _outcome(wh1_dense, G, coeff)
 
 
 @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda g: f"order{g.order}")
@@ -266,6 +380,22 @@ def test_inconsistent_action_rejected():
 def test_action_shape_rejected(coeff):
     with pytest.raises(CoefficientError):
         wh1_general(cyclic_group(2), coeff)
+
+
+@pytest.mark.parametrize(
+    "G, coeff",
+    [
+        # S3 permuting the coordinates of Z + Z/3 + Z: it respects every
+        # relator, but sends the order-3 generator to an infinite-order one
+        (dihedral_group(3), CoefficientSystem((0, 3, 0), (_perm((1, 2, 0)), _perm((0, 2, 1))))),
+        # swapping Z/4 and Z/2 sends the order-2 generator to an order-4 one
+        (cyclic_group(2), CoefficientSystem((4, 2), (((0, 1), (1, 0)),))),
+    ],
+    ids=["S3-Z+Z3+Z", "C2-swap-Z4+Z2"],
+)
+def test_action_not_endomorphism_rejected(G, coeff):
+    with pytest.raises(CoefficientError, match="not an endomorphism"):
+        wh1_general(G, coeff)
 
 
 def test_sign_action_consistent():
