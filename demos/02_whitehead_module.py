@@ -1,8 +1,9 @@
 """Compute Wh1(pi; Gamma) two ways and walk the duality bookkeeping.
 
-Route 1 (general): build the integer relation matrix of the quotient
-Gamma[pi] / (twisted conjugation, identity coordinate) and read the
-cokernel off a certified Smith normal form.
+Route 1 (general): the quotient Gamma[pi] / (twisted conjugation, identity
+coordinate) splits into one summand per nontrivial conjugacy class [x],
+the coinvariants H0(C(x); Gamma) of its centralizer, each read off a
+certified Smith normal form of a small cokernel.
 
 Route 2 (fast, Gamma = Z/2 trivial): the quotient is the Z/2-vector space
 on the nontrivial conjugacy classes.  The class-inversion involution

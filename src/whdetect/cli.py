@@ -18,7 +18,6 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import conjugacy_classes
 from .catalog import (
     Epsilon,
     SeifertInvariants,

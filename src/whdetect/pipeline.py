@@ -39,23 +39,24 @@ from .words import Presentation
 SCHEMA_VERSION = 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class DetectionReport:
     """Full analysis of one group input.
 
     ``verdict``: "detectable" iff non-ambivalence is certified and both
     precondition flags hold; "not_detectable_by_theta" iff ambivalent with
-    preconditions met; otherwise "preconditions_unmet".
+    preconditions met; otherwise "preconditions_unmet".  Fields that need
+    the finite group stay None when it is not available.
     """
 
     name: str
-    order: Optional[int]
-    class_count: Optional[int]
-    ambivalent: Optional[bool]
-    witness: Optional[int]
-    detection_rank: Optional[int]
-    wh1_dim: Optional[int]
-    z4_dim: Optional[int]
+    order: Optional[int] = None
+    class_count: Optional[int] = None
+    ambivalent: Optional[bool] = None
+    witness: Optional[int] = None
+    detection_rank: Optional[int] = None
+    wh1_dim: Optional[int] = None
+    z4_dim: Optional[int] = None
     verdict: str
     k1_trivial: Optional[bool]
     goodness: str
@@ -132,13 +133,7 @@ def analyze(
             )
             return DetectionReport(
                 name=name,
-                order=None,
-                class_count=None,
                 ambivalent=None if nonamb is None else False,
-                witness=None,
-                detection_rank=None,
-                wh1_dim=None,
-                z4_dim=None,
                 verdict=_verdict(nonamb, k1, good),
                 k1_trivial=k1,
                 goodness=good.value,
@@ -155,13 +150,6 @@ def analyze(
     except EnumerationBudgetExceeded:
         return DetectionReport(
             name=name,
-            order=None,
-            class_count=None,
-            ambivalent=None,
-            witness=None,
-            detection_rank=None,
-            wh1_dim=None,
-            z4_dim=None,
             verdict="preconditions_unmet",
             k1_trivial=k1,
             goodness=(good or Goodness.UNKNOWN).value,

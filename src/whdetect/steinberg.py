@@ -3,11 +3,14 @@ images.
 
 A Steinberg word is a formal product of symbols x(i,j;lam) with i != j and
 lam in Z[pi]; its image in the stable elementary group is the corresponding
-product of matrices I + lam*E_ij.  The kernel of evaluation is second
-algebraic K-theory, so a word lies in K2 exactly when it evaluates to the
-identity.  The w-elements x(i,j;+-g) x(j,i;-+g^-1) x(i,j;+-g) evaluate to
-monomial (permutation times diagonal) matrices; those are recognized by
-:func:`pd_decompose`.
+product of matrices I + lam*E_ij.  :func:`evaluate` computes that product
+by column operations: right multiplication by I + lam*E_ij adds column i,
+times lam on the right, to column j.  The tests compare it with ``matmul``,
+the dense product of the letters' matrices.  The kernel of evaluation is
+second algebraic K-theory, so a word lies in K2 exactly when it evaluates
+to the identity.  The w-elements x(i,j;+-g) x(j,i;-+g^-1) x(i,j;+-g)
+evaluate to monomial (permutation times diagonal) matrices; those are
+recognized by :func:`pd_decompose`.
 
 Only finite groups are accepted: coefficients live in Z[pi] for a concrete
 :class:`~whdetect.coset.FiniteGroupRealization`.
@@ -16,8 +19,8 @@ Only finite groups are accepted: coefficients live in Z[pi] for a concrete
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Iterable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from .coset import FiniteGroupRealization, word_tree
 from .words import parse_word
@@ -198,22 +201,6 @@ class GroupRingMatrix:
             ),
         )
 
-    def __matmul__(self, other: "GroupRingMatrix") -> "GroupRingMatrix":
-        n = self.n
-        zero = GroupRingElement.zero(self.group)
-        rows = []
-        for i in range(n):
-            row = []
-            for j in range(n):
-                acc = zero
-                for k in range(n):
-                    if self.entries[i][k].is_zero() or other.entries[k][j].is_zero():
-                        continue
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            rows.append(tuple(row))
-        return GroupRingMatrix(self.group, tuple(rows))
-
     def is_identity(self) -> bool:
         one = GroupRingElement.one(self.group)
         zero = GroupRingElement.zero(self.group)
@@ -232,27 +219,26 @@ class GroupRingMatrix:
         )
 
 
-def elementary_matrix(
-    G: FiniteGroupRealization, n: int, i: int, j: int, coeff: GroupRingElement
-) -> GroupRingMatrix:
-    """I + coeff * E_ij (1-based indices)."""
-    base = [list(row) for row in GroupRingMatrix.identity(G, n).entries]
-    base[i - 1][j - 1] = base[i - 1][j - 1] + coeff
-    return GroupRingMatrix(G, tuple(tuple(row) for row in base))
-
-
 def evaluate(
     w: SteinbergWord, n: int, G: FiniteGroupRealization
 ) -> GroupRingMatrix:
-    """Image of a Steinberg word in the elementary group at dimension n."""
+    """Image of a Steinberg word in the elementary group at dimension n.
+
+    Each letter x(i,j;lam) is one column operation on the running product:
+    column j += column i * lam, with lam on the right.  The tests check the
+    result against ``matmul`` of the letters' matrices I + lam*E_ij.
+    """
     if w.min_dimension() > n:
         raise SteinbergError(
             f"word uses index {w.min_dimension()} but dimension is {n}"
         )
-    acc = GroupRingMatrix.identity(G, n)
+    rows = [list(row) for row in GroupRingMatrix.identity(G, n).entries]
     for letter in w.letters:
-        acc = acc @ elementary_matrix(G, n, letter.row, letter.col, letter.coeff)
-    return acc
+        i, j, lam = letter.row - 1, letter.col - 1, letter.coeff
+        for row in rows:
+            if not row[i].is_zero():
+                row[j] = row[j] + row[i] * lam
+    return GroupRingMatrix(G, tuple(tuple(row) for row in rows))
 
 
 @dataclass(frozen=True)

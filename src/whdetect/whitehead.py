@@ -36,7 +36,7 @@ from typing import Sequence
 import numpy as np
 
 from .analysis import ConjugacyProfile
-from .coset import FiniteGroupRealization
+from .coset import FiniteGroupRealization, element_order
 
 IntMatrix = list[list[int]]
 
@@ -235,16 +235,23 @@ def _reduce(mat: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
     return [[x % f if f else x for x, f in zip(row, factors)] for row in mat]
 
 
-def _inverse(mat: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
-    """mat^-1 as a power of mat, modulo Gamma's torsion."""
+def _inverse(mat: IntMatrix, factors: tuple[int, ...], order: int) -> IntMatrix:
+    """mat^-1 as a power of mat, modulo Gamma's torsion.
+
+    ``order`` is the order in pi of the element mat acts by; an action
+    through pi must reach the identity within that many powers.
+    """
     ident = _reduce(_identity(len(factors)), factors)
     power = _identity(len(factors))
-    for _ in range(10000):  # larger orders are rejected as not finite
+    for _ in range(order):
         nxt = _reduce(_matmul(power, mat), factors)
         if nxt == ident:
             return power
         power = nxt
-    raise CoefficientError("action matrix is not of finite automorphism order")
+    raise CoefficientError(
+        f"action matrix is not of order dividing {order}, the order of its"
+        " generator in pi"
+    )
 
 
 def check_action_consistency(
@@ -256,8 +263,9 @@ def check_action_consistency(
     of pi.  Row k is the image of Gamma's k-th generator gamma_k, so each
     matrix must be an endomorphism of Gamma: f_k * M[k][j] = 0 modulo f_j
     (f = 0 meaning Z), or gamma_k would not keep its order f_k.  Each
-    matrix must be of finite order modulo Gamma's torsion, and the products
-    along every defining relator of pi must be the identity.  Raises
+    matrix must reach the identity, modulo Gamma's torsion, within as many
+    powers as its generator's order in pi, and the products along every
+    defining relator of pi must be the identity.  Raises
     :class:`CoefficientError` otherwise.
     """
     r, factors = coeff.rank, coeff.invariant_factors
@@ -278,7 +286,10 @@ def check_action_consistency(
                         f"action of generator {g} is not an endomorphism of"
                         f" Gamma: row {k} does not respect the order {fk}"
                     )
-    actions = [(mat, _inverse(mat, factors)) for mat in gen_mats]
+    actions = [
+        (mat, _inverse(mat, factors, element_order(G, img)))
+        for mat, img in zip(gen_mats, G.generator_images)
+    ]
     ident = _reduce(_identity(r), factors)
     for rel in G.source.relators:
         acc = _identity(r)

@@ -4,6 +4,7 @@ import pytest
 
 from whdetect.steinberg import (
     GroupRingElement,
+    GroupRingMatrix,
     SteinbergError,
     SteinbergWord,
     evaluate,
@@ -39,6 +40,34 @@ def random_ring_element(G, rnd, max_terms=3, max_coeff=4):
             rnd.randrange(G.order): rnd.randint(-max_coeff, max_coeff)
             for _ in range(rnd.randint(0, max_terms))
         },
+    )
+
+
+def matmul(A, B):
+    """Dense product of two matrices over Z[pi]: the oracle of ``evaluate``."""
+    zero = GroupRingElement.zero(A.group)
+    n = A.n
+    return GroupRingMatrix(
+        A.group,
+        tuple(
+            tuple(
+                sum((A.entries[i][k] * B.entries[k][j] for k in range(n)), zero)
+                for j in range(n)
+            )
+            for i in range(n)
+        ),
+    )
+
+
+def elementary(G, n, i, j, lam):
+    """I + lam*E_ij entry by entry, with 1-based indices i != j."""
+    one, zero = GroupRingElement.one(G), GroupRingElement.zero(G)
+    return tuple(
+        tuple(
+            lam if (r, c) == (i, j) else one if r == c else zero
+            for c in range(1, n + 1)
+        )
+        for r in range(1, n + 1)
     )
 
 
@@ -116,8 +145,27 @@ def test_evaluate_is_homomorphism(G):
         u = letters[0] * letters[1]
         v = letters[2] * letters[3]
         uv = evaluate(u * v, 3, G)
-        sep = evaluate(u, 3, G) @ evaluate(v, 3, G)
+        sep = matmul(evaluate(u, 3, G), evaluate(v, 3, G))
         assert uv.entries == sep.entries
+
+
+@pytest.mark.parametrize("G", RING_GROUPS, ids=lambda g: f"order{g.order}")
+def test_evaluate_single_letter_is_elementary(G):
+    rnd = random.Random(G.order + 5)
+    coeffs = [GroupRingElement.zero(G)]
+    coeffs += [
+        GroupRingElement.of_element(G, g, s) for g in range(G.order) for s in (1, -1)
+    ]
+    coeffs += [GroupRingElement.from_dict(G, {0: 2, G.order - 1: -3})]
+    coeffs += [random_ring_element(G, rnd, max_terms=4) for _ in range(10)]
+    for n in range(2, 6):
+        for i in range(1, n + 1):
+            for j in range(1, n + 1):
+                if i == j:
+                    continue
+                for lam in coeffs:
+                    M = evaluate(symbol(i, j, lam), n, G)
+                    assert M.entries == elementary(G, n, i, j, lam)
 
 
 # ---------------------------------------------------------------------------

@@ -359,14 +359,26 @@ def test_detection_rank_dic3():
 # ---------------------------------------------------------------------------
 
 
-def test_inconsistent_action_rejected():
+def test_inconsistent_action_rejected(monkeypatch):
+    from whdetect import whitehead
     from whdetect.whitehead import CoefficientError, check_action_consistency
 
+    products = []
+    real = whitehead._matmul
+    monkeypatch.setattr(
+        whitehead, "_matmul", lambda a, b: products.append(1) or real(a, b)
+    )
     G = cyclic_group(2)
-    # order-3 action matrix cannot respect a^2 = 1
-    bad = CoefficientSystem((7,), (((2,),),))
-    with pytest.raises(CoefficientError):
-        check_action_consistency(G, bad)
+    for bad in (
+        # order-3 action matrix cannot respect a^2 = 1
+        CoefficientSystem((7,), (((2,),),)),
+        # infinite order on Z^3, given up after |a| = 2 powers
+        CoefficientSystem((0, 0, 0), (((1, 1, 0), (0, 1, 1), (0, 0, 1)),)),
+    ):
+        products.clear()
+        with pytest.raises(CoefficientError):
+            check_action_consistency(G, bad)
+        assert len(products) <= 2
 
 
 @pytest.mark.parametrize(
