@@ -58,10 +58,13 @@ class AmbivalenceVerdict:
 def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
     """Partition G into conjugacy classes by orbit BFS under the generators.
 
-    Conjugating by the group generators alone suffices since they generate;
-    this beats the naive all-pairs loop, which the tests keep as an oracle.
+    Conjugating by the group generators alone suffices since they generate,
+    one permutation per distinct generator image; this beats the naive
+    all-pairs loop, which the tests keep as an oracle.
     """
-    gens = set(G.generator_images) or {0}
+    perms = {
+        img: G.conjugation(g, 1) for g, img in enumerate(G.generator_images)
+    }.values()
     class_of = [-1] * G.order
     classes: list[tuple[int, ...]] = []
     for start in range(G.order):
@@ -70,17 +73,12 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
         idx = len(classes)
         orbit = [start]
         class_of[start] = idx
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for g in frontier:
-                for s in gens:
-                    h = G.conjugate(g, s)
-                    if class_of[h] == -1:
-                        class_of[h] = idx
-                        orbit.append(h)
-                        nxt.append(h)
-            frontier = nxt
+        for g in orbit:  # grows while iterated: a walk over the class
+            for perm in perms:
+                h = perm[g]
+                if class_of[h] == -1:
+                    class_of[h] = idx
+                    orbit.append(h)
         classes.append(tuple(sorted(orbit)))
     inversion = tuple(class_of[G.inv[cls[0]]] for cls in classes)
     return ConjugacyProfile(tuple(classes), tuple(class_of), inversion)
@@ -98,33 +96,10 @@ def is_ambivalent(
 
 
 def centre(G: FiniteGroupRealization) -> tuple[int, ...]:
-    """Elements commuting with all of G."""
+    """Elements commuting with all of G, i.e. with every generator."""
+    pairs = [(2 * g, G.left(img)) for g, img in enumerate(G.generator_images)]
     return tuple(
         z
         for z in range(G.order)
-        if all(G.mul[z][g] == G.mul[g][z] for g in range(G.order))
+        if all(G.table[z][col] == left[z] for col, left in pairs)
     )
-
-
-def subgroup_realization(
-    G: FiniteGroupRealization, elements: tuple[int, ...]
-) -> FiniteGroupRealization:
-    """Restrict G to a subset closed under multiplication and inverse."""
-    index = {g: i for i, g in enumerate(sorted(set(elements)))}
-    if 0 not in index:
-        raise ValueError("subgroup must contain the identity")
-    order = len(index)
-    ordered = sorted(index, key=index.get)
-    for g in ordered:
-        if G.inv[g] not in index:
-            raise ValueError("subset not closed under inversion")
-        for h in ordered:
-            if G.mul[g][h] not in index:
-                raise ValueError("subset not closed under multiplication")
-    mul = tuple(
-        tuple(index[G.mul[g][h]] for h in ordered) for g in ordered
-    )
-    inv = tuple(index[G.inv[g]] for g in ordered)
-    # generated by all nonidentity elements; keep the source presentation
-    gens = tuple(i for i in range(order) if i != 0) or (0,)
-    return FiniteGroupRealization(order, mul, inv, gens, G.source)

@@ -12,6 +12,7 @@ regular fiber class is central and has order greater than two, the centre
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -269,6 +270,43 @@ def binary_icosahedral() -> Presentation:
     return binary_polyhedral(5)
 
 
+def _cyclic_entry(m: int) -> CatalogEntry:
+    return CatalogEntry(
+        name=f"cyclic_{m}", presentation=cyclic(m), known_order=m,
+        expected_ambivalent=m <= 2,
+    )
+
+
+def _dicyclic_entry(ell: int) -> CatalogEntry:
+    return CatalogEntry(
+        name=f"dicyclic_{4 * ell}", presentation=dicyclic(ell), known_order=4 * ell,
+        expected_ambivalent=ell % 2 == 0,
+    )
+
+
+def _dihedral_entry(k: int) -> CatalogEntry:
+    return CatalogEntry(
+        name=f"dihedral_{2 * k}", presentation=dihedral(k), known_order=2 * k,
+        expected_ambivalent=True, three_manifold=False,
+    )
+
+
+# parameter p of binary_polyhedral(p) -> (name, order, ambivalent)
+_BINARY_POLYHEDRAL = {
+    3: ("binary_tetrahedral_24", 24, False),
+    4: ("binary_octahedral_48", 48, True),
+    5: ("binary_icosahedral_120", 120, True),
+}
+
+
+def _binary_polyhedral_entry(p: int) -> CatalogEntry:
+    name, order, amb = _BINARY_POLYHEDRAL[p]
+    return CatalogEntry(
+        name=name, presentation=binary_polyhedral(p), known_order=order,
+        expected_ambivalent=amb,
+    )
+
+
 def builtin_groups(max_order: int) -> list[CatalogEntry]:
     """Catalog entries up to the given order, expectations prefilled.
 
@@ -279,61 +317,41 @@ def builtin_groups(max_order: int) -> list[CatalogEntry]:
     """
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    entries: list[CatalogEntry] = []
-    for m in range(1, max_order + 1):
-        entries.append(
-            CatalogEntry(
-                name=f"cyclic_{m}",
-                presentation=cyclic(m),
-                known_order=m,
-                expected_ambivalent=m <= 2,
-            )
-        )
-    ell = 1
-    while 4 * ell <= max_order:
-        entries.append(
-            CatalogEntry(
-                name=f"dicyclic_{4 * ell}",
-                presentation=dicyclic(ell),
-                known_order=4 * ell,
-                expected_ambivalent=ell % 2 == 0,
-            )
-        )
-        ell += 1
-    for name, p, order, amb in (
-        ("binary_tetrahedral_24", 3, 24, False),
-        ("binary_octahedral_48", 4, 48, True),
-        ("binary_icosahedral_120", 5, 120, True),
-    ):
-        if order <= max_order:
-            entries.append(
-                CatalogEntry(
-                    name=name,
-                    presentation=binary_polyhedral(p),
-                    known_order=order,
-                    expected_ambivalent=amb,
-                )
-            )
-    k = 2
-    while 2 * k <= max_order and k <= 12:
-        entries.append(
-            CatalogEntry(
-                name=f"dihedral_{2 * k}",
-                presentation=dihedral(k),
-                known_order=2 * k,
-                expected_ambivalent=True,
-                three_manifold=False,
-            )
-        )
-        k += 1
+    entries = [_cyclic_entry(m) for m in range(1, max_order + 1)]
+    entries += [_dicyclic_entry(ell) for ell in range(1, max_order // 4 + 1)]
+    entries += [
+        _binary_polyhedral_entry(p)
+        for p, (_, order, _) in _BINARY_POLYHEDRAL.items()
+        if order <= max_order
+    ]
+    entries += [_dihedral_entry(k) for k in range(2, min(max_order // 2, 12) + 1)]
     return entries
 
 
+# family -> (order per unit of the parameter, least parameter, entry builder)
+_FAMILIES = {
+    "cyclic": (1, 1, _cyclic_entry),
+    "dicyclic": (4, 1, _dicyclic_entry),
+    "dihedral": (2, 2, _dihedral_entry),
+}
+_FAMILY_MEMBER = re.compile(r"([a-z]+)_([1-9][0-9]*)")
+
+
 def get_preset(name: str) -> CatalogEntry:
-    """Look up a builtin group by catalog name, e.g. ``dicyclic_12``."""
-    for entry in builtin_groups(240):
-        if entry.name == name:
-            return entry
+    """The catalog group named ``<family>_<order>``, e.g. ``dicyclic_12``.
+
+    Every member of the cyclic, dicyclic and dihedral families is accepted,
+    also beyond :func:`builtin_groups`; a name that list holds gives its entry.
+    """
+    for p, (binary_name, _, _) in _BINARY_POLYHEDRAL.items():
+        if name == binary_name:
+            return _binary_polyhedral_entry(p)
+    match = _FAMILY_MEMBER.fullmatch(name)
+    if match and match.group(1) in _FAMILIES:
+        unit, least, build = _FAMILIES[match.group(1)]
+        param, rest = divmod(int(match.group(2)), unit)
+        if rest == 0 and param >= least:
+            return build(param)
     raise KeyError(f"unknown preset {name!r}")
 
 

@@ -4,14 +4,19 @@ HLT-style relator scanning with immediate coincidence processing via
 union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
-The completed table is converted into a concrete finite group: element set =
-cosets with the identity at index 0, full multiplication and inversion
-tables, and the images of the presentation generators.
+The completed table is itself the finite group: elements are the cosets,
+with the identity at index 0, and the table is the right regular action of
+the presentation generators (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, ch. 5).  Its BFS word tree names every
+element; left multiplication, conjugation by a generator and inverses are
+read from the two, and the full multiplication table is built only when
+first asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 from .words import Presentation, Word
@@ -210,33 +215,76 @@ def enumerate_cosets(
 
 @dataclass(frozen=True)
 class FiniteGroupRealization:
-    """A finite group as explicit multiplication/inversion tables.
+    """A finite group as its completed coset table over the trivial subgroup.
 
-    Elements are 0..order-1 with the identity at 0.  ``generator_images[g]``
-    is the element realizing presentation generator g.
+    Elements are the cosets 0..order-1 with the identity at 0, and
+    ``table[a][2g]`` / ``table[a][2g+1]`` is a.g / a.g^-1: the right regular
+    action of the presentation generators.  ``tree`` is the BFS word tree
+    from the identity, one ``(element, parent, generator, sign)`` per
+    nonidentity element in discovery order, with element = parent .
+    generator^sign; each parent tries a.g then a.g^-1 for every generator g
+    in turn, so reading it from the identity spells a shortest word for each
+    element.  Everything else is derived from these two; the full ``mul``
+    and ``inv`` tables are built only when first read.
     """
 
-    order: int
-    mul: tuple[tuple[int, ...], ...]
-    inv: tuple[int, ...]
-    generator_images: tuple[int, ...]
+    table: tuple[tuple[int, ...], ...]
+    tree: tuple[tuple[int, int, int, int], ...]
     source: Presentation
 
-    def conjugate(self, g: int, by: int) -> int:
-        """by^-1 g by."""
-        return self.mul[self.mul[self.inv[by]][g]][by]
+    @property
+    def order(self) -> int:
+        return len(self.table)
+
+    @property
+    def generator_images(self) -> tuple[int, ...]:
+        """The element realizing each presentation generator."""
+        return self.table[0][0::2]
+
+    def left(self, t: int) -> list[int]:
+        """Left multiplication by t: the row b -> t.b, filled along the tree."""
+        row = [0] * self.order
+        row[0] = t
+        table = self.table
+        for b, a, g, s in self.tree:
+            row[b] = table[row[a]][2 * g + (s < 0)]
+        return row
+
+    def conjugation(self, g: int, s: int) -> list[int]:
+        """The permutation b -> x^-1 b x for the generator letter x = g^s."""
+        col = _col((g, s))
+        table = self.table
+        return [table[c][col] for c in self.left(table[0][col ^ 1])]
+
+    @cached_property
+    def mul(self) -> tuple[tuple[int, ...], ...]:
+        """mul[a][b] = a.b; n x n, so only the group ring and tests read it."""
+        return tuple(tuple(self.left(t)) for t in range(self.order))
+
+    @cached_property
+    def inv(self) -> tuple[int, ...]:
+        """inv[a] = a^-1, along the tree: (a.x)^-1 = x^-1 . a^-1."""
+        inv = [0] * self.order
+        lefts: dict[int, list[int]] = {}
+        for b, a, g, s in self.tree:
+            col = _col((g, -s))  # the column of x^-1
+            if col not in lefts:
+                lefts[col] = self.left(self.table[0][col])
+            inv[b] = lefts[col][inv[a]]
+        return tuple(inv)
 
     def evaluate_word(self, w: Word) -> int:
         acc = 0
-        for g, s in w.letters:
-            img = self.generator_images[g]
-            acc = self.mul[acc][img if s > 0 else self.inv[img]]
+        for letter in w.letters:
+            acc = self.table[acc][_col(letter)]
         return acc
 
     def is_abelian(self) -> bool:
         imgs = self.generator_images
         return all(
-            self.mul[a][b] == self.mul[b][a] for a in imgs for b in imgs
+            self.table[imgs[g]][2 * h] == self.table[imgs[h]][2 * g]
+            for g in range(len(imgs))
+            for h in range(g)
         )
 
 
@@ -244,81 +292,31 @@ def realize(t: CosetTable, p: Presentation) -> FiniteGroupRealization:
     """Turn a complete coset table into an explicit finite group.
 
     The element of coset a is the word read along the BFS tree from coset 0;
-    multiplication is the induced right action.
+    the table itself is the right action of the generators on the elements.
     """
-    n = t.n_cosets
-    # BFS spanning tree from coset 0: each coset gets (parent, column)
-    order: list[int] = [0]
-    parent: list[tuple[int, int] | None] = [None] * n
-    seen = [False] * n
-    seen[0] = True
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for a in frontier:
-            for col in range(2 * t.n_generators):
-                b = t.rows[a][col]
-                if not seen[b]:
-                    seen[b] = True
-                    parent[b] = (a, col)
-                    order.append(b)
-                    nxt.append(b)
-        frontier = nxt
-    if not all(seen):
-        raise IncompleteTableError("coset table is not transitive from coset 0")
-
-    # mul[a][b] = a . word(b); word(b) = word(parent) . column, so each row
-    # fills along the BFS order in constant time per entry
-    mul_rows: list[list[int]] = []
-    for a in range(n):
-        row = [0] * n
-        row[0] = a
-        for b in order[1:]:
-            pb, col = parent[b]  # type: ignore[misc]
-            row[b] = t.rows[row[pb]][col]
-        mul_rows.append(row)
-    mul = tuple(tuple(row) for row in mul_rows)
-    inv = tuple(mul[a].index(0) for a in range(n))
-    gen_images = tuple(t.rows[0][2 * g] for g in range(p.rank))
-    return FiniteGroupRealization(n, mul, inv, gen_images, p)
-
-
-def word_tree(G: FiniteGroupRealization) -> list[tuple[int, int, int, int]]:
-    """BFS word tree of G from the identity, in discovery order.
-
-    One ``(element, parent, generator, sign)`` per element reached, with
-    element = parent . generator^sign.  Each parent tries a.g then a.g^-1 for
-    every generator g in turn, so reading the tree from the identity spells a
-    shortest word for each element.  Elements the generators do not reach are
-    absent.
-    """
-    steps = [
-        (h, g, s)
-        for g, img in enumerate(G.generator_images)
-        for h, s in ((img, 1), (G.inv[img], -1))
-    ]
-    seen = [False] * G.order
+    seen = [False] * t.n_cosets
     seen[0] = True
     tree: list[tuple[int, int, int, int]] = []
     queue = [0]
     for a in queue:  # grows while iterated: a FIFO walk, level by level
-        row = G.mul[a]
-        for h, g, s in steps:
-            b = row[h]
+        for col, b in enumerate(t.rows[a]):
             if not seen[b]:
                 seen[b] = True
-                tree.append((b, a, g, s))
+                tree.append((b, a, col >> 1, -1 if col & 1 else 1))
                 queue.append(b)
-    return tree
+    if len(queue) != t.n_cosets:
+        raise IncompleteTableError("coset table is not transitive from coset 0")
+    return FiniteGroupRealization(t.rows, tuple(tree), p)
 
 
 def element_order(G: FiniteGroupRealization, g: int) -> int:
     """Least k >= 1 with g^k = identity."""
     if not 0 <= g < G.order:
         raise ValueError(f"element {g} out of range")
+    row = G.left(g)
     k, acc = 1, g
     while acc != 0:
-        acc = G.mul[acc][g]
+        acc = row[acc]
         k += 1
     return k
 

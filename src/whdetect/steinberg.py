@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .coset import FiniteGroupRealization, word_tree
+from .coset import FiniteGroupRealization
 from .words import parse_word
 
 
@@ -118,7 +118,7 @@ def _element_names(G: FiniteGroupRealization) -> list[str]:
     names = [""] * G.order
     names[0] = "1"
     gens = G.source.generators
-    for b, a, g, s in word_tree(G):
+    for b, a, g, s in G.tree:
         tag = gens[g].name if s > 0 else f"{gens[g].name}^-1"
         names[b] = tag if a == 0 else f"{names[a]} {tag}"
     return names

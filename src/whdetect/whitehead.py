@@ -33,8 +33,6 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-import numpy as np
-
 from .analysis import ConjugacyProfile
 from .coset import FiniteGroupRealization, element_order
 
@@ -339,10 +337,10 @@ def wh1_general(
     factors, r = coeff.invariant_factors, coeff.rank
     torsion = [[f * (i == k) for i in range(r)] for k, f in enumerate(factors) if f]
     ident = _reduce(_identity(r), factors)
-    steps: dict[int, tuple[IntMatrix, IntMatrix]] = {}
-    for img, pair in zip(G.generator_images, actions):
-        if img:  # conjugating by the identity relates nothing
-            steps.setdefault(G.inv[img], pair)  # s g s^-1 = conjugate(g, s^-1)
+    steps: dict[int, tuple[list[int], tuple[IntMatrix, IntMatrix]]] = {}
+    for g, (img, pair) in enumerate(zip(G.generator_images, actions)):
+        if img and img not in steps:  # conjugating by the identity relates nothing
+            steps[img] = (G.conjugation(g, -1), pair)  # y -> s y s^-1
     cokernels: dict[frozenset, tuple[int, ...]] = {}
     tree: dict[int, tuple[IntMatrix, IntMatrix]] = {}  # y -> (P_y, P_y^-1)
     summands: list[int] = []
@@ -354,8 +352,8 @@ def wh1_general(
         loops = set()
         for y in queue:  # grows while iterated: a FIFO walk over the class
             p, p_inv = tree[y]
-            for by, (mat, mat_inv) in steps.items():
-                z = G.conjugate(y, by)
+            for conj, (mat, mat_inv) in steps.values():
+                z = conj[y]
                 path = _reduce(_matmul(p, mat), factors)
                 if z not in tree:
                     tree[z] = (path, _reduce(_matmul(mat_inv, p_inv), factors))
@@ -402,14 +400,6 @@ class InvolutionSpace:
     z4_dim: int
     quotient_dim: int
 
-    def differential_matrix(self, i: int = 4) -> np.ndarray:
-        """Matrix of x -> x - (-1)^i x-bar over Z/2."""
-        d = np.eye(self.dim, dtype=np.int64)
-        sign = -((-1) ** i)
-        for a, b in enumerate(self.bar):
-            d[b, a] += sign
-        return d % 2
-
 
 def involution_space(profile: ConjugacyProfile) -> InvolutionSpace:
     """Build the involution space of a conjugacy profile.
@@ -417,7 +407,7 @@ def involution_space(profile: ConjugacyProfile) -> InvolutionSpace:
     id + bar has rank p, the number of swapped class pairs, so the detection
     quotient has dimension p and Z4 = ker(id + bar) has dimension s + p.
     Both are read off ``profile.paired_count``; the tests check them against
-    exact GF(2) elimination of :meth:`InvolutionSpace.differential_matrix`.
+    exact GF(2) elimination of the differential matrix built from ``bar``.
     """
     dim = profile.n_classes - 1
     bar = tuple(profile.inversion_perm[c + 1] - 1 for c in range(dim))

@@ -12,6 +12,8 @@ from whdetect.catalog import (
     SeifertError,
     SeifertInvariants,
     builtin_groups,
+    cyclic,
+    dicyclic,
     euler_number,
     fiber_order_rule,
     get_preset,
@@ -179,6 +181,30 @@ def test_get_preset():
     assert e.known_order == 12 and e.expected_ambivalent is False
     with pytest.raises(KeyError):
         get_preset("nope")
+
+
+def test_get_preset_is_the_builtin_entry():
+    for entry in builtin_groups(240):
+        assert get_preset(entry.name) == entry, entry.name
+
+
+def test_get_preset_accepts_larger_members():
+    dic = get_preset("dicyclic_4000")
+    assert (dic.known_order, dic.expected_ambivalent) == (4000, True)
+    assert dic.presentation == dicyclic(1000)
+    cyc = get_preset("cyclic_1000")
+    assert (cyc.known_order, cyc.expected_ambivalent) == (1000, False)
+    assert cyc.presentation == cyclic(1000)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["dicyclic_6", "cyclic_0", "cyclic_05", "binary_tetrahedral_48", "foo_4",
+     "dihedral_2", "cyclic_", "cyclic_-3", "cyclic_\u0663", "Cyclic_4", " cyclic_4"],
+)
+def test_get_preset_rejects_non_canonical_names(name):
+    with pytest.raises(KeyError):
+        get_preset(name)
 
 
 def test_dicyclic_central_element():

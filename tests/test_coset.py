@@ -1,7 +1,10 @@
 import itertools
+import sys
 
 import pytest
 
+from whdetect.analysis import centre, conjugacy_classes, is_ambivalent
+from whdetect.catalog import builtin_groups, dicyclic
 from whdetect.coset import (
     EnumerationBudgetExceeded,
     element_order,
@@ -9,6 +12,7 @@ from whdetect.coset import (
     realize,
     realize_presentation,
 )
+from whdetect.whitehead import CoefficientSystem, involution_space, wh1_general
 from whdetect.words import make_presentation
 
 from conftest import (
@@ -17,6 +21,7 @@ from conftest import (
     dicyclic_group,
     dihedral_group,
     group,
+    run_python,
 )
 
 
@@ -182,3 +187,57 @@ def test_word_evaluation():
     p = G.source
     rel = p.relators[0]  # a^4
     assert G.evaluate_word(rel) == 0
+
+
+@pytest.mark.parametrize("entry", builtin_groups(60), ids=lambda e: e.name)
+def test_table_primitives_match_mul_and_inv(entry):
+    """Everything read from the coset table and word tree agrees with the
+    full multiplication table and the inverses."""
+    G = realize_presentation(entry.presentation)
+    n, mul, inv, imgs = G.order, G.mul, G.inv, G.generator_images
+    assert sorted(b for b, _, _, _ in G.tree) == list(range(1, n))
+    for b, a, g, s in G.tree:
+        assert b == mul[a][imgs[g] if s > 0 else inv[imgs[g]]]
+    for t in range(n):
+        assert G.left(t) == list(mul[t])
+    for b in range(n):
+        assert mul[b][inv[b]] == 0
+    for g, img in enumerate(imgs):
+        for s, x in ((1, img), (-1, inv[img])):
+            assert G.conjugation(g, s) == [mul[mul[inv[x]][b]][x] for b in range(n)]
+    assert centre(G) == tuple(
+        z for z in range(n) if all(mul[z][g] == mul[g][z] for g in range(n))
+    )
+    assert G.is_abelian() == all(mul[a][b] == mul[b][a] for a in imgs for b in imgs)
+    for g in range(n):
+        k, acc = 1, g
+        while acc:
+            acc, k = mul[acc][g], k + 1
+        assert element_order(G, g) == k
+
+
+def test_analysis_never_builds_the_multiplication_table():
+    G = realize_presentation(dicyclic(3))  # fresh: the shared groups may have built it
+    profile = conjugacy_classes(G)
+    assert not is_ambivalent(G, profile).ambivalent
+    involution_space(profile)
+    for img in G.generator_images:
+        element_order(G, img)
+    centre(G)
+    G.is_abelian()
+    G.evaluate_word(G.source.relators[2])
+    wh1_general(G, CoefficientSystem.z2_trivial())
+    wh1_general(G, CoefficientSystem((0,), (((1,),), ((-1,),))))
+    assert "mul" not in vars(G)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+def test_analyze_order_4000_stays_small():
+    r = run_python("-c", (
+        "import resource\n"
+        "from whdetect import analyze, catalog\n"
+        "assert analyze(catalog.dicyclic(1000)).order == 4000\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    ))
+    assert r.returncode == 0, r.stderr
+    assert int(r.stdout) < 100 * 1024

@@ -1,16 +1,22 @@
 import json
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from whdetect.catalog import Epsilon, Goodness, SeifertInvariants, get_preset
+from whdetect.catalog import (
+    Epsilon,
+    Goodness,
+    SeifertInvariants,
+    builtin_groups,
+    get_preset,
+)
 from whdetect.cli import main
 from whdetect.pipeline import (
     SCHEMA_VERSION,
     analyze,
     reproduce_table_73,
 )
-from whdetect.words import make_presentation
+from whdetect.words import Generator, Presentation, Word, make_presentation
 
 from conftest import run_python
 
@@ -152,6 +158,25 @@ def test_cli_table73(capsys):
     assert "dicyclic_8" in out
 
 
+def test_cli_analyze_preset_beyond_builtin_catalog(capsys):
+    code, out = run_cli(capsys, "analyze", "--preset", "dicyclic_4000")
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["name"], payload["order"]) == ("dicyclic_4000", 4000)
+    assert payload["class_count"] == 1003 and payload["ambivalent"] is True
+
+
+def test_runtime_needs_no_numpy():
+    r = run_python("-c", (
+        "import sys\n"
+        "sys.modules['numpy'] = None  # any import of numpy now fails\n"
+        "import whdetect, whdetect.cli\n"
+        "print(whdetect.analyze(whdetect.get_preset('dicyclic_12')).verdict)"
+    ))
+    assert r.returncode == 0, r.stderr
+    assert r.stdout == "detectable\n"
+
+
 def test_cli_wh1(capsys):
     code, out = run_cli(capsys, "wh1", "--preset", "cyclic_3")
     assert code == 0
@@ -185,10 +210,11 @@ def test_cli_steinberg_eval(capsys):
         ["steinberg", "eval", "--group", "cyclic_4", "--word", "y(1,2)"],
         ["wh1", "--preset", "cyclic_5", "--budget", "2"],
         ["analyze", "--presentation", "/nonexistent/presentation.txt"],
+        ["analyze", "--preset", "dicyclic_6"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
-        "budget-exhausted", "missing-presentation-file",
+        "budget-exhausted", "missing-presentation-file", "non-canonical-preset",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
@@ -208,3 +234,66 @@ def test_cli_catalog_formats(capsys):
     code, out = run_cli(capsys, "catalog", "--max-order", "8", "--format", "csv")
     assert code == 0
     assert out.splitlines()[0].startswith("name,")
+
+
+# ---------------------------------------------------------------------------
+# Tietze invariance: the report depends on the group, not on its presentation
+# ---------------------------------------------------------------------------
+
+REPORT_INVARIANTS = (
+    "order", "class_count", "ambivalent", "detection_rank", "wh1_dim", "z4_dim", "verdict",
+)
+
+
+def _rotate(p, draw):
+    """Cyclically conjugate one relator."""
+    i = draw(st.integers(0, len(p.relators) - 1))
+    letters = p.relators[i].letters
+    k = draw(st.integers(0, len(letters) - 1))
+    rels = list(p.relators)
+    rels[i] = Word(letters[k:] + letters[:k])
+    return Presentation(p.generators, tuple(rels))
+
+
+def _invert(p, draw):
+    """Replace one relator by its inverse."""
+    i = draw(st.integers(0, len(p.relators) - 1))
+    rels = list(p.relators)
+    rels[i] = rels[i].inverse()
+    return Presentation(p.generators, tuple(rels))
+
+
+def _redundant(p, draw):
+    """Append r_i . u r_j u^-1 for a generator letter u, a consequence of the relators."""
+    i, j = (draw(st.integers(0, len(p.relators) - 1)) for _ in range(2))
+    u = Word(((draw(st.integers(0, p.rank - 1)), draw(st.sampled_from((1, -1)))),))
+    extra = p.relators[i] * u * p.relators[j] * u.inverse()
+    return Presentation(p.generators, p.relators + (extra,))
+
+
+def _rename(p, draw):
+    """Give the generators fresh names in a new order."""
+    perm = draw(st.permutations(range(p.rank)))  # old index -> new index
+    gens = tuple(Generator(k, f"t{k}") for k in range(p.rank))
+    rels = tuple(Word(tuple((perm[g], s) for g, s in r.letters)) for r in p.relators)
+    return Presentation(gens, rels)
+
+
+def _invariants(p, entry):
+    report = analyze(p, k1_trivial=entry.k1_trivial, goodness=entry.goodness)
+    return {key: getattr(report, key) for key in REPORT_INVARIANTS}
+
+
+@settings(max_examples=30, deadline=None)
+@given(entry=st.sampled_from(builtin_groups(60)), data=st.data())
+def test_tietze_rewrites_keep_the_report(entry, data):
+    """Each rewrite alone and all four in turn present the same group, so every
+    index-free field of the report stays; element indices (witness, detection
+    basis) may move."""
+    want = _invariants(entry.presentation, entry)
+    assert want["order"] == entry.known_order
+    composed = entry.presentation
+    for rewrite in (_rotate, _invert, _redundant, _rename):
+        assert _invariants(rewrite(entry.presentation, data.draw), entry) == want, rewrite
+        composed = rewrite(composed, data.draw)
+    assert _invariants(composed, entry) == want

@@ -207,8 +207,8 @@ def test_matrix_display_walks_word_tree_once(monkeypatch):
     a, b = G.generator_images
     M = evaluate(w_element(1, 2, G, a, 1) * w_element(3, 8, G, b, -1), 8, G)
     walks = []
-    real = steinberg.word_tree
-    monkeypatch.setattr(steinberg, "word_tree", lambda H: walks.append(H) or real(H))
+    real = steinberg._element_names
+    monkeypatch.setattr(steinberg, "_element_names", lambda H: walks.append(H) or real(H))
     text = M.display()
     assert len(walks) == 1
     cell = next(e for row in M.entries for e in row if not e.is_zero())
