@@ -8,7 +8,8 @@ certified Smith normal form of a small cokernel.
 Route 2 (fast, Gamma = Z/2 trivial): the quotient is the Z/2-vector space
 on the nontrivial conjugacy classes.  The class-inversion involution
 induces the duality map; the detection quotient has dimension equal to the
-number of inversion-swapped class pairs.
+number of inversion-swapped class pairs, ``profile.swapped_pairs``.  Both
+that dimension and dim Z4 are read off ``involution_space``.
 """
 
 from whdetect.analysis import conjugacy_classes
@@ -16,7 +17,6 @@ from whdetect.catalog import binary_polyhedral, cyclic, dicyclic
 from whdetect.coset import realize_presentation
 from whdetect.whitehead import (
     CoefficientSystem,
-    detection_rank,
     involution_space,
     wh1_general,
     wh1_z2_fast,
@@ -39,12 +39,10 @@ for name, pres in [
     print(f"  s = {prof.self_inverse_count} self-inverse classes, "
           f"p = {prof.paired_count} swapped pairs")
     print(f"  dim Z4 = s + p = {sp.z4_dim}, "
-          f"detection rank = p = {detection_rank(prof)}\n")
+          f"detection rank = p = {sp.quotient_dim}\n")
 
 # An integer coefficient system with a sign action:
-from whdetect.whitehead import wh1_general as wh1  # noqa: E402
-
 G = realize_presentation(cyclic(2), 100)
-res = wh1(G, CoefficientSystem((0,), (((-1,),),)))
+res = wh1_general(G, CoefficientSystem((0,), (((-1,),),)))
 print(f"Gamma = Z with sign action over Z/2: invariant factors "
       f"{res.invariant_factors}")

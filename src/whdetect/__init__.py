@@ -23,7 +23,6 @@ from .catalog import (
     seifert_presentation,
 )
 from .coset import (
-    CosetTable,
     EnumerationBudgetExceeded,
     FiniteGroupRealization,
     element_order,
@@ -45,7 +44,6 @@ from .whitehead import (
     CoefficientSystem,
     InvolutionSpace,
     WhiteheadGroupResult,
-    detection_rank,
     involution_space,
     smith_normal_form,
     wh1_general,
@@ -56,7 +54,6 @@ from .words import (
     Presentation,
     Word,
     free_reduce,
-    invert_word,
     make_presentation,
     parse_presentation,
     parse_word,

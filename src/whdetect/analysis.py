@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .coset import FiniteGroupRealization
@@ -15,10 +16,11 @@ class ConjugacyProfile:
     Class 0 is the identity class.  ``inversion_perm`` sends the class of g
     to the class of g^-1; it is an involution fixing class 0.
 
-    ``self_inverse_count`` (s) counts nontrivial classes with c = c-bar;
-    ``paired_count`` (p) counts unordered pairs {c, c-bar} with c != c-bar.
-    Every nontrivial class is one or the other, so the number of nontrivial
-    classes is s + 2p.
+    ``swapped_pairs`` lists the classes that inversion swaps, one pair
+    (c, c-bar) with c < c-bar each, in increasing c; ``paired_count`` (p)
+    is their number.  The other nontrivial classes are self-inverse, and
+    ``self_inverse_count`` (s) counts them, so there are s + 2p nontrivial
+    classes.
     """
 
     classes: tuple[tuple[int, ...], ...]
@@ -29,18 +31,19 @@ class ConjugacyProfile:
     def n_classes(self) -> int:
         return len(self.classes)
 
-    @property
-    def self_inverse_count(self) -> int:
-        return sum(
-            1 for c in range(1, self.n_classes) if self.inversion_perm[c] == c
+    @cached_property
+    def swapped_pairs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(
+            (c, cbar) for c, cbar in enumerate(self.inversion_perm) if c < cbar
         )
 
     @property
     def paired_count(self) -> int:
-        return (
-            sum(1 for c in range(1, self.n_classes) if self.inversion_perm[c] != c)
-            // 2
-        )
+        return len(self.swapped_pairs)
+
+    @property
+    def self_inverse_count(self) -> int:
+        return self.n_classes - 1 - 2 * self.paired_count
 
 
 @dataclass(frozen=True)
@@ -87,19 +90,17 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
 def is_ambivalent(
     G: FiniteGroupRealization, profile: ConjugacyProfile | None = None
 ) -> AmbivalenceVerdict:
-    """True iff the class-inversion permutation is the identity."""
+    """True iff inversion swaps no classes; else a representative of the
+    first swapped class is the witness."""
     profile = profile or conjugacy_classes(G)
-    for c in range(profile.n_classes):
-        if profile.inversion_perm[c] != c:
-            return AmbivalenceVerdict(False, witness=profile.classes[c][0])
+    pairs = profile.swapped_pairs
+    if pairs:
+        return AmbivalenceVerdict(False, witness=profile.classes[pairs[0][0]][0])
     return AmbivalenceVerdict(True)
 
 
 def centre(G: FiniteGroupRealization) -> tuple[int, ...]:
-    """Elements commuting with all of G, i.e. with every generator."""
-    pairs = [(2 * g, G.left(img)) for g, img in enumerate(G.generator_images)]
-    return tuple(
-        z
-        for z in range(G.order)
-        if all(G.table[z][col] == left[z] for col, left in pairs)
-    )
+    """Elements that conjugation by every generator fixes: those commuting
+    with all of G."""
+    perms = [G.conjugation(g, 1) for g in range(G.source.rank)]
+    return tuple(z for z in range(G.order) if all(perm[z] == z for perm in perms))

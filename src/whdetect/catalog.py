@@ -50,6 +50,11 @@ class Epsilon(str, enum.Enum):
     def fiber_central(self) -> bool:
         return self in (Epsilon.O1, Epsilon.N1)
 
+    @property
+    def min_genus(self) -> int:
+        """Least base genus of this type (Orlik, Seifert Manifolds, LNM 291, 5.2)."""
+        return {Epsilon.O1: 0, Epsilon.N3: 2, Epsilon.N4: 3}.get(self, 1)
+
 
 @dataclass(frozen=True)
 class SeifertInvariants:
@@ -61,10 +66,11 @@ class SeifertInvariants:
     exceptional: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.genus < 0:
-            raise SeifertError("genus must be nonnegative")
-        if not self.epsilon.orientable_base and self.genus < 1:
-            raise SeifertError("nonorientable base types require genus >= 1")
+        if self.genus < self.epsilon.min_genus:
+            raise SeifertError(
+                f"base type {self.epsilon.value} requires genus >="
+                f" {self.epsilon.min_genus}"
+            )
         for alpha, beta in self.exceptional:
             if alpha < 2:
                 raise SeifertError(f"exceptional fiber order alpha={alpha} < 2")
@@ -84,7 +90,7 @@ def _epsilon_exponents(eps: Epsilon, genus: int) -> list[int]:
         return [-1] * genus
     if eps is Epsilon.N3:
         return [1] + [-1] * (genus - 1)
-    return [1, 1][:genus] + [-1] * max(0, genus - 2)
+    return [1, 1] + [-1] * (genus - 2)
 
 
 def seifert_presentation(s: SeifertInvariants) -> Presentation:
@@ -256,18 +262,6 @@ def binary_polyhedral(p: int) -> Presentation:
     return make_presentation(
         ["a", "b"], [f"a^{p} b^-3", f"a^{p} b^-1 a^-1 b^-1 a^-1"]
     )
-
-
-def binary_tetrahedral() -> Presentation:
-    return binary_polyhedral(3)
-
-
-def binary_octahedral() -> Presentation:
-    return binary_polyhedral(4)
-
-
-def binary_icosahedral() -> Presentation:
-    return binary_polyhedral(5)
 
 
 def _cyclic_entry(m: int) -> CatalogEntry:

@@ -159,7 +159,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--preset", help="builtin group name, e.g. dicyclic_12")
     src.add_argument("--presentation", help="path to a presentation file")
     src.add_argument(
-        "--seifert", help="Seifert datum b,eps,g,(a1:b1),... e.g. 0,o1,1"
+        "--seifert",
+        help="Seifert datum b,eps,g,(a1:b1),... e.g. 0,o1,1; for a negative b"
+        " write --seifert=-1,o1,0,(2:1),(3:1),(5:1)",
     )
     add_budget(p)
     p.set_defaults(func=_cmd_analyze)

@@ -7,10 +7,13 @@ in row-major order), so completed tables are reproducible bit-for-bit.
 The completed table is itself the finite group: elements are the cosets,
 with the identity at index 0, and the table is the right regular action of
 the presentation generators (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, ch. 5).  Its BFS word tree names every
-element; left multiplication, conjugation by a generator and inverses are
-read from the two, and the full multiplication table is built only when
-first asked for.
+Computational Group Theory, 2005, ch. 5).  :func:`enumerate_cosets` returns
+its rows and :func:`realize` adds the BFS word tree that names every
+element.  This module alone reads the table and the tree: the other layers
+use :class:`FiniteGroupRealization`'s left multiplication, conjugation by a
+generator, inverses and element names.  The full multiplication table is
+built only when first asked for, and only the group ring, the tests and the
+benchmark's oracles read it.
 """
 
 from __future__ import annotations
@@ -39,32 +42,6 @@ def _col(letter: tuple[int, int]) -> int:
 
 def _inv_col(col: int) -> int:
     return col ^ 1
-
-
-@dataclass(frozen=True)
-class CosetTable:
-    """A completed, collapsed coset table for the trivial subgroup.
-
-    ``rows[a][2g]`` is the coset a.g, ``rows[a][2g+1]`` is a.g^-1.
-    Coset 0 is the subgroup coset; the number of rows is the group order.
-    """
-
-    n_generators: int
-    rows: tuple[tuple[int, ...], ...]
-
-    @property
-    def n_cosets(self) -> int:
-        return len(self.rows)
-
-    def to_csv(self) -> str:
-        """Dump as CSV: row = coset, one column per generator action."""
-        header = "coset," + ",".join(
-            f"g{g}{suffix}" for g in range(self.n_generators) for suffix in ("", "_inv")
-        )
-        lines = [header]
-        for a, row in enumerate(self.rows):
-            lines.append(f"{a}," + ",".join(str(x) for x in row))
-        return "\n".join(lines) + "\n"
 
 
 class _Enumerator:
@@ -173,8 +150,12 @@ class _Enumerator:
 
 def enumerate_cosets(
     p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
-) -> CosetTable:
+) -> tuple[tuple[int, ...], ...]:
     """Run Todd-Coxeter for the trivial subgroup of the presented group.
+
+    Returns the completed table, one row per coset with coset 0 the
+    subgroup: ``rows[a][2g]`` is the coset a.g and ``rows[a][2g+1]`` is
+    a.g^-1, so the number of rows is the group order.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite).
@@ -210,7 +191,7 @@ def enumerate_cosets(
                 raise IncompleteTableError("enumeration left an undefined entry")
             row.append(renum[st.rep(entry)])
         rows.append(tuple(row))
-    return CosetTable(p.rank, tuple(rows))
+    return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -218,14 +199,17 @@ class FiniteGroupRealization:
     """A finite group as its completed coset table over the trivial subgroup.
 
     Elements are the cosets 0..order-1 with the identity at 0, and
-    ``table[a][2g]`` / ``table[a][2g+1]`` is a.g / a.g^-1: the right regular
-    action of the presentation generators.  ``tree`` is the BFS word tree
-    from the identity, one ``(element, parent, generator, sign)`` per
-    nonidentity element in discovery order, with element = parent .
-    generator^sign; each parent tries a.g then a.g^-1 for every generator g
-    in turn, so reading it from the identity spells a shortest word for each
-    element.  Everything else is derived from these two; the full ``mul``
-    and ``inv`` tables are built only when first read.
+    ``table`` holds the rows that :func:`enumerate_cosets` returns: the
+    right regular action of the presentation generators.  ``tree`` is the
+    BFS word tree from the identity, one ``(element, parent, generator,
+    sign)`` per nonidentity element in discovery order, with element =
+    parent . generator^sign; each parent tries a.g then a.g^-1 for every
+    generator g in turn, so reading it from the identity spells a shortest
+    word for each element.  No other module reads these two fields; they use
+    what is derived from them here.  ``element_names`` spells each element
+    as its tree word.  ``inv`` and the n x n ``mul`` are built on first
+    read, and only the group ring, the tests and the benchmark's oracles
+    read ``mul``.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -256,9 +240,18 @@ class FiniteGroupRealization:
         table = self.table
         return [table[c][col] for c in self.left(table[0][col ^ 1])]
 
+    def element_names(self) -> list[str]:
+        """A display name per element: its word along the tree, "1" at 0."""
+        names = ["1"] + [""] * (self.order - 1)
+        gens = self.source.generators
+        for b, a, g, s in self.tree:
+            tag = gens[g].name if s > 0 else f"{gens[g].name}^-1"
+            names[b] = tag if a == 0 else f"{names[a]} {tag}"
+        return names
+
     @cached_property
     def mul(self) -> tuple[tuple[int, ...], ...]:
-        """mul[a][b] = a.b; n x n, so only the group ring and tests read it."""
+        """mul[a][b] = a.b, built row by row with :meth:`left`."""
         return tuple(tuple(self.left(t)) for t in range(self.order))
 
     @cached_property
@@ -288,25 +281,27 @@ class FiniteGroupRealization:
         )
 
 
-def realize(t: CosetTable, p: Presentation) -> FiniteGroupRealization:
-    """Turn a complete coset table into an explicit finite group.
+def realize(
+    rows: tuple[tuple[int, ...], ...], p: Presentation
+) -> FiniteGroupRealization:
+    """Turn the rows of a complete coset table into an explicit finite group.
 
     The element of coset a is the word read along the BFS tree from coset 0;
     the table itself is the right action of the generators on the elements.
     """
-    seen = [False] * t.n_cosets
+    seen = [False] * len(rows)
     seen[0] = True
     tree: list[tuple[int, int, int, int]] = []
     queue = [0]
     for a in queue:  # grows while iterated: a FIFO walk, level by level
-        for col, b in enumerate(t.rows[a]):
+        for col, b in enumerate(rows[a]):
             if not seen[b]:
                 seen[b] = True
                 tree.append((b, a, col >> 1, -1 if col & 1 else 1))
                 queue.append(b)
-    if len(queue) != t.n_cosets:
+    if len(queue) != len(rows):
         raise IncompleteTableError("coset table is not transitive from coset 0")
-    return FiniteGroupRealization(t.rows, tuple(tree), p)
+    return FiniteGroupRealization(rows, tuple(tree), p)
 
 
 def element_order(G: FiniteGroupRealization, g: int) -> int:

@@ -152,20 +152,14 @@ def analyze(
             name=name,
             verdict="preconditions_unmet",
             k1_trivial=k1,
-            goodness=(good or Goodness.UNKNOWN).value,
+            goodness=good.value,
             lemma74=lemma74,
         )
     profile = conjugacy_classes(G)
     amb = is_ambivalent(G, profile)
     space = involution_space(profile)
-    # representatives of the unpaired classes spanning the detection quotient
-    basis = []
-    seen = set()
-    for c in range(1, profile.n_classes):
-        cbar = profile.inversion_perm[c]
-        if cbar != c and c not in seen:
-            seen.update((c, cbar))
-            basis.append(profile.classes[c][0])
+    # one representative per swapped pair spans the detection quotient
+    basis = tuple(profile.classes[c][0] for c, _ in profile.swapped_pairs)
     return DetectionReport(
         name=name,
         order=G.order,
@@ -177,8 +171,8 @@ def analyze(
         z4_dim=space.z4_dim,
         verdict=_verdict(not amb.ambivalent, k1, good),
         k1_trivial=k1,
-        goodness=(good or Goodness.UNKNOWN).value,
-        detection_basis=tuple(basis),
+        goodness=good.value,
+        detection_basis=basis,
         lemma74=lemma74,
     )
 

@@ -94,7 +94,7 @@ class GroupRingElement:
         return None
 
     def display(self) -> str:
-        return _format(self, _element_names(self.group))
+        return _format(self, self.group.element_names())
 
 
 def _format(x: GroupRingElement, names: list[str]) -> str:
@@ -111,17 +111,6 @@ def _format(x: GroupRingElement, names: list[str]) -> str:
         else:
             parts.append(f"{c}*{base}")
     return " + ".join(parts).replace("+ -", "- ")
-
-
-def _element_names(G: FiniteGroupRealization) -> list[str]:
-    """Short display names: a word in the generators per element, BFS order."""
-    names = [""] * G.order
-    names[0] = "1"
-    gens = G.source.generators
-    for b, a, g, s in G.tree:
-        tag = gens[g].name if s > 0 else f"{gens[g].name}^-1"
-        names[b] = tag if a == 0 else f"{names[a]} {tag}"
-    return names
 
 
 @dataclass(frozen=True)
@@ -211,7 +200,7 @@ class GroupRingMatrix:
         )
 
     def display(self) -> str:
-        names = _element_names(self.group)
+        names = self.group.element_names()
         cells = [[_format(e, names) for e in row] for row in self.entries]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(

@@ -264,9 +264,11 @@ def check_action_consistency(
     matrix must reach the identity, modulo Gamma's torsion, within as many
     powers as its generator's order in pi, and the products along every
     defining relator of pi must be the identity.  Raises
-    :class:`CoefficientError` otherwise.
+    :class:`CoefficientError` otherwise, and for a negative invariant factor.
     """
     r, factors = coeff.rank, coeff.invariant_factors
+    if any(f < 0 for f in factors):
+        raise CoefficientError(f"invariant factors must be nonnegative: {factors}")
     n_gens = len(G.generator_images)
     if coeff.action is not None and (
         len(coeff.action) != n_gens
@@ -392,11 +394,13 @@ class InvolutionSpace:
     Basis: nontrivial conjugacy classes (dimension s + 2p over Z/2).
     ``bar`` permutes the basis by class inversion; the differential at
     parity i is x + (-1)^i x-bar, which over Z/2 at i = 4 is id + bar.
+    ``quotient_dim`` is the detection rank: positive exactly when the group
+    is not ambivalent, in which case there are homeomorphisms
+    pseudo-isotopic but not isotopic to the identity.
     """
 
     dim: int
     bar: tuple[int, ...]
-    d4_rank: int
     z4_dim: int
     quotient_dim: int
 
@@ -412,13 +416,4 @@ def involution_space(profile: ConjugacyProfile) -> InvolutionSpace:
     dim = profile.n_classes - 1
     bar = tuple(profile.inversion_perm[c + 1] - 1 for c in range(dim))
     p = profile.paired_count
-    return InvolutionSpace(dim, bar, p, dim - p, p)
-
-
-def detection_rank(profile: ConjugacyProfile) -> int:
-    """Dimension of the detection quotient: the number of swapped class pairs.
-
-    Positive exactly when the group is not ambivalent, in which case there
-    are homeomorphisms pseudo-isotopic but not isotopic to the identity.
-    """
-    return profile.paired_count
+    return InvolutionSpace(dim, bar, dim - p, p)

@@ -103,10 +103,6 @@ class Word:
         return " ".join(parts)
 
 
-def invert_word(w: Word) -> Word:
-    return w.inverse()
-
-
 def commutator(u: Word, v: Word) -> Word:
     """[u, v] = u v u^-1 v^-1."""
     return u * v * u.inverse() * v.inverse()

@@ -134,6 +134,16 @@ def test_inversion_perm_is_involution(name):
 
 
 @pytest.mark.parametrize("name", ALL_GROUPS)
+def test_swapped_pairs_list_each_swap_once(name):
+    profile = conjugacy_classes(ALL_GROUPS[name]())
+    pairs = profile.swapped_pairs
+    assert [c for c, _ in pairs] == sorted(c for c, _ in pairs)
+    assert all(c < cbar == profile.inversion_perm[c] for c, cbar in pairs)
+    moved = [c for c, cc in enumerate(profile.inversion_perm) if c != cc]
+    assert sorted(x for pair in pairs for x in pair) == moved
+
+
+@pytest.mark.parametrize("name", ALL_GROUPS)
 def test_class_count_bookkeeping(name):
     profile = conjugacy_classes(ALL_GROUPS[name]())
     real = sum(1 for c, cc in enumerate(profile.inversion_perm) if c == cc)

@@ -39,6 +39,12 @@ def test_invalid_invariants_rejected():
     with pytest.raises(SeifertError):
         SeifertInvariants(0, Epsilon.N1, 0)  # nonorientable base needs g >= 1
     with pytest.raises(SeifertError):
+        SeifertInvariants(1, Epsilon.O2, 0)  # o2 needs g >= 1
+    with pytest.raises(SeifertError):
+        SeifertInvariants(0, Epsilon.N3, 1)  # n3 needs g >= 2
+    with pytest.raises(SeifertError):
+        SeifertInvariants(0, Epsilon.N4, 2)  # n4 needs g >= 3
+    with pytest.raises(SeifertError):
         SeifertInvariants(0, Epsilon.O1, 0, ((1, 1),))  # alpha < 2
     with pytest.raises(SeifertError):
         SeifertInvariants(0, Epsilon.O1, 0, ((4, 2),))  # not coprime
@@ -95,6 +101,14 @@ def test_exceptional_fiber_group_order():
     s = SeifertInvariants(1, Epsilon.O1, 0, ((5, 2),))
     res = fiber_order_rule(s, 10_000)
     assert res.kind is FiberOrder.FINITE and res.group.order == 7
+
+
+def test_least_genus_of_each_base_type_is_accepted():
+    for eps in Epsilon:
+        s = SeifertInvariants(0, eps, eps.min_genus)
+        assert len(seifert_presentation(s).generators) == (
+            2 * s.genus if eps.orientable_base else s.genus
+        ) + 1
 
 
 def test_fiber_central_for_o1_n1_only():

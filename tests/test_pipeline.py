@@ -141,6 +141,19 @@ def test_cli_analyze_seifert(capsys):
     assert json.loads(out)["lemma74"] == "not_ambivalent"
 
 
+def test_cli_seifert_negative_b_equals_form():
+    r = run_python("-m", "whdetect.cli", "analyze", "--seifert=-1,o1,0,(2:1),(3:1),(5:1)")
+    assert r.returncode == 0, r.stderr
+    assert json.loads(r.stdout)["order"] == 120
+
+
+def test_cli_help_documents_negative_b_form(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "200")  # keep the example on one line
+    with pytest.raises(SystemExit):
+        main(["analyze", "--help"])
+    assert "--seifert=-1,o1,0,(2:1),(3:1),(5:1)" in capsys.readouterr().out
+
+
 def test_cli_analyze_presentation_file(tmp_path, capsys):
     f = tmp_path / "q8.txt"
     f.write_text("gens: a, x; rels: a^4, x^2 a^-2, x^-1 a x a")
@@ -211,10 +224,13 @@ def test_cli_steinberg_eval(capsys):
         ["wh1", "--preset", "cyclic_5", "--budget", "2"],
         ["analyze", "--presentation", "/nonexistent/presentation.txt"],
         ["analyze", "--preset", "dicyclic_6"],
+        ["analyze", "--seifert", "1,o2,0"],
+        ["wh1", "--preset", "cyclic_4", "--gamma=2,-3"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
         "budget-exhausted", "missing-presentation-file", "non-canonical-preset",
+        "seifert-genus-too-small", "negative-gamma-factor",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):

@@ -201,14 +201,16 @@ def test_w_element_product_is_pd():
 
 
 def test_matrix_display_walks_word_tree_once(monkeypatch):
-    from whdetect import steinberg
+    from whdetect.coset import FiniteGroupRealization
 
     G = binary_polyhedral_group(3)
     a, b = G.generator_images
     M = evaluate(w_element(1, 2, G, a, 1) * w_element(3, 8, G, b, -1), 8, G)
     walks = []
-    real = steinberg._element_names
-    monkeypatch.setattr(steinberg, "_element_names", lambda H: walks.append(H) or real(H))
+    real = FiniteGroupRealization.element_names
+    monkeypatch.setattr(
+        FiniteGroupRealization, "element_names", lambda H: walks.append(H) or real(H)
+    )
     text = M.display()
     assert len(walks) == 1
     cell = next(e for row in M.entries for e in row if not e.is_zero())

@@ -8,7 +8,6 @@ from whdetect.words import (
     Word,
     WordError,
     free_reduce,
-    invert_word,
     make_presentation,
     parse_presentation,
     parse_word,
@@ -49,9 +48,9 @@ def test_free_reduce_examples():
 
 
 def test_invert_word_examples():
-    assert invert_word(Word(((0, 1), (1, 1)))).letters == ((1, -1), (0, -1))
-    assert invert_word(Word()) == Word()
-    assert invert_word(Word(((0, 1), (0, 1)))).letters == ((0, -1), (0, -1))
+    assert Word(((0, 1), (1, 1))).inverse().letters == ((1, -1), (0, -1))
+    assert Word().inverse() == Word()
+    assert Word(((0, 1), (0, 1))).inverse().letters == ((0, -1), (0, -1))
 
 
 letters = st.lists(
