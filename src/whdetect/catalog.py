@@ -51,6 +51,12 @@ class Epsilon(str, enum.Enum):
         return self in (Epsilon.O1, Epsilon.N1)
 
     @property
+    def orientable_total_space(self) -> bool:
+        """Whether the 3-manifold is orientable: every orientation-reversing
+        loop of the base reverses the fiber, and no other loop does."""
+        return self in (Epsilon.O1, Epsilon.N2)
+
+    @property
     def min_genus(self) -> int:
         """Least base genus of this type (Orlik, Seifert Manifolds, LNM 291, 5.2)."""
         return {Epsilon.O1: 0, Epsilon.N3: 2, Epsilon.N4: 3}.get(self, 1)
@@ -176,11 +182,16 @@ def fiber_order_rule(
 ) -> FiberOrderResult:
     """Decide whether the fiber class h has infinite order.
 
-    Nonpositive orbifold Euler characteristic, or positive characteristic
-    with zero Euler number, forces an infinite group with h of infinite
-    order.  Otherwise the group is finite: enumerate it and measure the
-    order of h directly rather than trusting any formula.
+    A nonorientable total space, nonpositive orbifold Euler characteristic,
+    or positive characteristic with zero Euler number forces an infinite
+    group with h of infinite order: a closed nonorientable 3-manifold has
+    infinite fundamental group (Lefschetz), in which the fiber has infinite
+    order (Scott, The geometries of 3-manifolds, 1983, section 3).  Otherwise
+    the group is finite: enumerate it and measure the order of h directly
+    rather than trusting any formula.
     """
+    if not s.epsilon.orientable_total_space:
+        return FiberOrderResult(FiberOrder.INFINITE)
     chi = orbifold_euler_characteristic(s)
     e = euler_number(s)
     if chi <= 0 or (chi > 0 and e == 0):
@@ -352,12 +363,13 @@ def get_preset(name: str) -> CatalogEntry:
 def seifert_goodness(s: SeifertInvariants) -> Goodness:
     """Conservative goodness flag for a Seifert group.
 
-    Finite groups are good; so are the nonnegative-curvature base cases
-    with genus at most 1 (extensions of good groups by good groups).
-    Everything else stays unknown, never silently good.
+    Finite groups (orientable total space, chi > 0, e != 0) are good; so
+    are the nonnegative-curvature base cases with genus at most 1
+    (extensions of good groups by good groups).  Everything else stays
+    unknown, never silently good.
     """
     chi = orbifold_euler_characteristic(s)
-    if chi > 0 and euler_number(s) != 0:
+    if s.epsilon.orientable_total_space and chi > 0 and euler_number(s) != 0:
         return Goodness.GOOD  # finite group
     if s.genus <= 1 and chi >= 0:
         return Goodness.GOOD
@@ -368,11 +380,12 @@ def seifert_k1_trivial(s: SeifertInvariants) -> Optional[bool]:
     """k1 flag for the Seifert families the detection theorem covers.
 
     Circle bundles over orientable surfaces of genus <= 1 and the elliptic
-    (finite) cases have trivial first k-invariant; elsewhere the flag is
-    left undetermined (None) and the pipeline refuses a verdict.
+    (finite, hence orientable) cases have trivial first k-invariant;
+    elsewhere the flag is left undetermined (None) and the pipeline refuses
+    a verdict.
     """
     chi = orbifold_euler_characteristic(s)
-    if chi > 0 and euler_number(s) != 0:
+    if s.epsilon.orientable_total_space and chi > 0 and euler_number(s) != 0:
         return True
     if s.epsilon is Epsilon.O1 and s.genus <= 1:
         return True

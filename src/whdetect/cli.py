@@ -81,7 +81,7 @@ def _cmd_table73(args: argparse.Namespace) -> int:
 def _cmd_wh1(args: argparse.Namespace) -> int:
     entry = get_preset(args.preset)
     G = realize_presentation(entry.presentation, args.budget)
-    factors = tuple(int(x) for x in args.gamma.split(",")) if args.gamma else (2,)
+    factors = (2,) if args.gamma is None else tuple(int(x) for x in args.gamma.split(","))
     result = wh1_general(G, CoefficientSystem(factors))
     print(
         json.dumps(

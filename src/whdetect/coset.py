@@ -4,6 +4,15 @@ HLT-style relator scanning with immediate coincidence processing via
 union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
+A relator that is a proper power w^k (k >= 2) is scanned once per w-cycle
+instead of once per coset: after its scan at a live coset alpha, the whole
+trace alpha.w^k = alpha is defined, so every coset alpha.w^i is marked and its
+own scan of the relator is skipped (Havas and Ramsay, Coset enumeration: ACE,
+2001).  Definitions only add edges and coincidence processing maps each edge
+to one between representatives, so a marked live coset's trace stays closed
+and the skipped scan would have defined, deduced and merged nothing: the
+definition sequence, the budget count and the rows are those of plain HLT.
+
 The completed table is itself the finite group: elements are the cosets,
 with the identity at index 0, and the table is the right regular action of
 the presentation generators (Holt, Eick and O'Brien, Handbook of
@@ -44,16 +53,29 @@ def _inv_col(col: int) -> int:
     return col ^ 1
 
 
+def _proper_period(cols: Sequence[int]) -> int:
+    """Length of the shortest w with cols = w^k for some k >= 2, else 0."""
+    n = len(cols)
+    for p in range(1, n // 2 + 1):
+        if n % p == 0 and cols[p:] == cols[:-p]:
+            return p
+    return 0
+
+
 class _Enumerator:
-    """Mutable HLT enumeration state."""
+    """Mutable HLT enumeration state.
+
+    ``marks`` holds one byte per coset for each proper-power relator: 1 where
+    the relator's trace is known to be closed.
+    """
 
     def __init__(self, n_generators: int, max_cosets: int):
         self.ncols = 2 * n_generators
         self.max_cosets = max_cosets
         self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
-        self.n_live = 1
         self.queue: list[int] = []
+        self.marks: list[bytearray] = []
 
     def rep(self, a: int) -> int:
         root = a
@@ -74,7 +96,8 @@ class _Enumerator:
         b = len(self.table)
         self.table.append([None] * self.ncols)
         self.parent.append(b)
-        self.n_live += 1
+        for marks in self.marks:
+            marks.append(0)
         self.table[a][col] = b
         self.table[b][_inv_col(col)] = a
         return b
@@ -85,7 +108,6 @@ class _Enumerator:
             return
         lo, hi = (a, b) if a < b else (b, a)
         self.parent[hi] = lo
-        self.n_live -= 1
         self.queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
@@ -147,6 +169,32 @@ class _Enumerator:
             f = self.define(f, relator_cols[i])
             i += 1
 
+    def mark_cycle(self, alpha: int, period_cols: Sequence[int], marks: bytearray) -> None:
+        """Mark alpha.w^i for every i, once alpha's scan of w^k has closed."""
+        table = self.table
+        beta = alpha
+        while True:
+            marks[beta] = 1
+            for col in period_cols:
+                beta = table[beta][col]
+            if beta == alpha:
+                return
+
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The completed table, live cosets renumbered in increasing order."""
+        live = [a for a in range(len(self.table)) if self.is_live(a)]
+        renum = {old: new for new, old in enumerate(live)}
+        rows = []
+        for old in live:
+            row = []
+            for col in range(self.ncols):
+                entry = self.table[old][col]
+                if entry is None:
+                    raise IncompleteTableError("enumeration left an undefined entry")
+                row.append(renum[self.rep(entry)])
+            rows.append(tuple(row))
+        return tuple(rows)
+
 
 def enumerate_cosets(
     p: Presentation, max_cosets: int = DEFAULT_MAX_COSETS
@@ -157,41 +205,45 @@ def enumerate_cosets(
     subgroup: ``rows[a][2g]`` is the coset a.g and ``rows[a][2g+1]`` is
     a.g^-1, so the number of rows is the group order.
 
+    Cosets are defined in HLT order.  A proper-power relator w^k is not
+    rescanned at a coset its w-cycle already closed; such a scan would change
+    nothing, so the definitions, the budget count and the rows equal those of
+    scanning every relator at every live coset.
+
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
-    relator_cols = [[_col(letter) for letter in r.letters] for r in p.relators]
     st = _Enumerator(p.rank, max_cosets)
+    relators = []
+    for r in p.relators:
+        cols = [_col(letter) for letter in r.letters]
+        period = _proper_period(cols)
+        marks = None
+        if period:
+            marks = bytearray(1)
+            st.marks.append(marks)
+        relators.append((cols, cols[:period], marks))
     alpha = 0
     while alpha < len(st.table):
         if not st.is_live(alpha):
             alpha += 1
             continue
-        for rc in relator_cols:
-            st.scan_and_fill(alpha, rc)
+        for cols, period_cols, marks in relators:
+            if marks is not None and marks[alpha]:
+                continue  # alpha.r = alpha is already traced in full
+            st.scan_and_fill(alpha, cols)
             if not st.is_live(alpha):
                 break
+            if marks is not None:
+                st.mark_cycle(alpha, period_cols, marks)
         if st.is_live(alpha):
             for col in range(st.ncols):
                 if st.table[alpha][col] is None:
                     st.define(alpha, col)
         alpha += 1
-
-    # compact: renumber live cosets in increasing index order
-    live = [a for a in range(len(st.table)) if st.is_live(a)]
-    renum = {old: new for new, old in enumerate(live)}
-    rows = []
-    for old in live:
-        row = []
-        for col in range(st.ncols):
-            entry = st.table[old][col]
-            if entry is None:
-                raise IncompleteTableError("enumeration left an undefined entry")
-            row.append(renum[st.rep(entry)])
-        rows.append(tuple(row))
-    return tuple(rows)
+    return st.rows()
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
+from math import gcd, prod
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from whdetect.analysis import is_ambivalent
 from whdetect.catalog import (
@@ -137,6 +140,62 @@ def test_fiber_order_rule_infinite_cases():
     assert fiber_order_rule(flat).kind is FiberOrder.INFINITE
     hyper = SeifertInvariants(1, Epsilon.O1, 2)
     assert fiber_order_rule(hyper).kind is FiberOrder.INFINITE
+    # chi > 0 and e != 0 on a nonorientable total space: decided without
+    # enumerating (a budget of 1 would run out)
+    nonorientable = SeifertInvariants(1, Epsilon.N1, 1)
+    assert orbifold_euler_characteristic(nonorientable) > 0
+    assert euler_number(nonorientable) != 0
+    assert fiber_order_rule(nonorientable, 1).kind is FiberOrder.INFINITE
+
+
+def test_orientable_total_space_is_o1_and_n2():
+    assert [e for e in Epsilon if e.orientable_total_space] == [Epsilon.O1, Epsilon.N2]
+
+
+def _base_chi(orientable_base, alphas):
+    return Fraction(2 if orientable_base else 1) - sum(1 - Fraction(1, a) for a in alphas)
+
+
+# fiber orders <= 5, at most three, over S^2 (o1, genus 0) and RP^2 (n2, genus 1)
+# with positive orbifold Euler characteristic
+_SPHERICAL_FIBERS = {
+    eps: [
+        alphas
+        for r in range(4)
+        for alphas in itertools.combinations_with_replacement(range(2, 6), r)
+        if _base_chi(eps is Epsilon.O1, alphas) > 0
+    ]
+    for eps in (Epsilon.O1, Epsilon.N2)
+}
+
+
+@st.composite
+def spherical_seifert_data(draw):
+    eps = draw(st.sampled_from(sorted(_SPHERICAL_FIBERS)))
+    fibers = tuple(
+        (a, draw(st.sampled_from([b for b in range(1, a) if gcd(a, b) == 1])))
+        for a in draw(st.sampled_from(_SPHERICAL_FIBERS[eps]))
+    )
+    return SeifertInvariants(draw(st.integers(-3, 2)), eps, 0 if eps is Epsilon.O1 else 1, fibers)
+
+
+@settings(max_examples=100, deadline=None)
+@given(s=spherical_seifert_data())
+def test_seifert_group_order_oracle(s):
+    """|pi_1| = 4|e|/chi^2 over a good base (degree of the orbifold cover by S^3;
+    Scott, The geometries of 3-manifolds, 1983, section 3) and |e| * prod(alpha_i)
+    over the bad teardrop and spindle bases, whose total spaces are lens spaces."""
+    alphas = sorted(a for a, _ in s.exceptional)
+    e = abs(Fraction(s.b) + sum(Fraction(b, a) for a, b in s.exceptional))
+    chi = _base_chi(s.epsilon is Epsilon.O1, alphas)
+    assume(e != 0)
+    bad = s.epsilon is Epsilon.O1 and (len(alphas) == 1 or len(set(alphas)) == 2 == len(alphas))
+    want = e * prod(alphas) if bad else 4 * e / chi**2
+    assert want.denominator == 1
+    res = fiber_order_rule(s, 20_000)
+    assume(res.kind is not FiberOrder.UNDETERMINED)  # the budget ran out
+    assert res.kind is FiberOrder.FINITE
+    assert res.group.order == want
 
 
 def test_lemma74_three_torus():
@@ -243,4 +302,6 @@ def test_goodness_policy():
 def test_k1_policy():
     assert seifert_k1_trivial(THREE_TORUS) is True
     assert seifert_k1_trivial(SeifertInvariants(1, Epsilon.O1, 0)) is True
+    assert seifert_k1_trivial(SeifertInvariants(1, Epsilon.N2, 1)) is True  # finite, order 4
     assert seifert_k1_trivial(SeifertInvariants(0, Epsilon.O2, 1)) is None
+    assert seifert_k1_trivial(SeifertInvariants(1, Epsilon.N1, 1)) is None

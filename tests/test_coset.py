@@ -2,18 +2,22 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whdetect.analysis import centre, conjugacy_classes, is_ambivalent
-from whdetect.catalog import builtin_groups, dicyclic
+from whdetect.catalog import builtin_groups, cyclic, dicyclic
 from whdetect.coset import (
     EnumerationBudgetExceeded,
+    IncompleteTableError,
+    _col,
+    _Enumerator,
     element_order,
     enumerate_cosets,
     realize,
     realize_presentation,
 )
 from whdetect.whitehead import CoefficientSystem, involution_space, wh1_general
-from whdetect.words import make_presentation, parse_word
+from whdetect.words import Generator, Presentation, Word, make_presentation, parse_word
 
 from conftest import (
     binary_polyhedral_group,
@@ -53,6 +57,37 @@ def quaternion_oracle():
         return w if sign == 1 else neg(w)
 
     return units, mul
+
+
+def hlt_plain(p, max_cosets):
+    """Reference HLT loop: every relator scanned in full at every live coset."""
+    if max_cosets < 1:
+        raise ValueError("max_cosets must be >= 1")
+    relator_cols = [[_col(letter) for letter in r.letters] for r in p.relators]
+    st = _Enumerator(p.rank, max_cosets)
+    alpha = 0
+    while alpha < len(st.table):
+        if not st.is_live(alpha):
+            alpha += 1
+            continue
+        for rc in relator_cols:
+            st.scan_and_fill(alpha, rc)
+            if not st.is_live(alpha):
+                break
+        if st.is_live(alpha):
+            for col in range(st.ncols):
+                if st.table[alpha][col] is None:
+                    st.define(alpha, col)
+        alpha += 1
+    return st.rows()
+
+
+def outcome(enumerate_, p, max_cosets):
+    """The rows, or the type and message of the exception raised instead."""
+    try:
+        return enumerate_(p, max_cosets)
+    except (EnumerationBudgetExceeded, IncompleteTableError) as exc:
+        return type(exc), str(exc)
 
 
 def test_cyclic_5():
@@ -165,6 +200,45 @@ def test_lagrange_on_binary_octahedral():
     G = binary_polyhedral_group(4)
     for g in range(G.order):
         assert G.order % element_order(G, g) == 0
+
+
+def test_power_relator_scanned_once_per_cycle(monkeypatch):
+    calls = []
+    scan = _Enumerator.scan_and_fill
+
+    def counted(self, alpha, relator_cols):
+        calls.append(alpha)
+        return scan(self, alpha, relator_cols)
+
+    monkeypatch.setattr(_Enumerator, "scan_and_fill", counted)
+    assert len(enumerate_cosets(cyclic(2000), 5000)) == 2000
+    assert len(calls) <= 2
+
+
+def test_skip_matches_plain_hlt_on_catalog():
+    for entry in builtin_groups(240):
+        p = entry.presentation
+        assert enumerate_cosets(p) == hlt_plain(p, 200_000), entry.name
+
+
+@st.composite
+def power_presentations(draw):
+    """1-3 generators; relators mostly proper powers w^k, some plain words."""
+    rank = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, rank - 1), st.sampled_from((1, -1)))
+    relators = []
+    for _ in range(draw(st.integers(0, 4))):
+        w = draw(st.lists(letter, min_size=1, max_size=4))
+        k = draw(st.integers(1, 9)) if draw(st.integers(0, 3)) else 1
+        relators.append(Word(tuple(w) * k))
+    gens = tuple(Generator(i, f"g{i}") for i in range(rank))
+    return Presentation(gens, tuple(r for r in relators if r))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=power_presentations(), budget=st.integers(50, 3000))
+def test_skip_matches_plain_hlt(p, budget):
+    assert outcome(enumerate_cosets, p, budget) == outcome(hlt_plain, p, budget)
 
 
 def test_enumeration_deterministic():

@@ -3,6 +3,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whdetect import coset
 from whdetect.catalog import (
     Epsilon,
     Goodness,
@@ -154,6 +155,20 @@ def test_cli_help_documents_negative_b_form(capsys, monkeypatch):
     assert "--seifert=-1,o1,0,(2:1),(3:1),(5:1)" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("datum", ["1,n1,1", "-1,n1,1,(3:1)"])
+def test_cli_nonorientable_seifert_never_enumerates(datum, capsys, monkeypatch):
+    """A nonorientable total space has infinite pi_1: the coset budget is not
+    spent on it, and the finite-group flags do not apply."""
+    calls = []
+    monkeypatch.setattr(coset, "enumerate_cosets", lambda *args: calls.append(args))
+    code, out = run_cli(capsys, "analyze", f"--seifert={datum}")
+    assert code == 0 and calls == []
+    report = json.loads(out)
+    assert report["lemma74"] == "not_ambivalent"
+    assert report["k1_trivial"] is None
+    assert report["verdict"] == "preconditions_unmet"
+
+
 def test_cli_analyze_presentation_file(tmp_path, capsys):
     f = tmp_path / "q8.txt"
     f.write_text("gens: a, x; rels: a^4, x^2 a^-2, x^-1 a x a")
@@ -226,11 +241,12 @@ def test_cli_steinberg_eval(capsys):
         ["analyze", "--preset", "dicyclic_6"],
         ["analyze", "--seifert", "1,o2,0"],
         ["wh1", "--preset", "cyclic_4", "--gamma=2,-3"],
+        ["wh1", "--preset", "cyclic_4", "--gamma="],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
         "budget-exhausted", "missing-presentation-file", "non-canonical-preset",
-        "seifert-genus-too-small", "negative-gamma-factor",
+        "seifert-genus-too-small", "negative-gamma-factor", "empty-gamma",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
