@@ -1,12 +1,13 @@
 """Seifert-fibered inputs: from invariants to a detection verdict.
 
 A Seifert datum (b; (eps, g); (alpha_1, beta_1), ...) determines a
-fundamental-group presentation.  When the orbifold Euler characteristic is
-nonpositive, or positive with zero Euler number, the group is infinite and
-the regular fiber h has infinite order; in the o1/n1 cases h is central,
-and a central element of order > 2 rules out ambivalence outright
-(detection rank is positive without ever enumerating the group).
-Otherwise the group is finite and the full pipeline runs.
+fundamental-group presentation.  The group is finite exactly when the datum
+is ``spherical`` (orientable total space, orbifold Euler characteristic
+> 0 and Euler number != 0); then the full pipeline runs.  Otherwise the
+group is infinite and the regular fiber h has infinite order; in the o1/n1
+cases h is central, and a central element of order > 2 rules out
+ambivalence outright (detection rank is positive without ever enumerating
+the group).
 """
 
 from whdetect.catalog import Epsilon, SeifertInvariants, euler_number, \

@@ -83,6 +83,21 @@ class SeifertInvariants:
             if gcd(alpha, beta) != 1:
                 raise SeifertError(f"({alpha},{beta}) not coprime")
 
+    @property
+    def spherical(self) -> bool:
+        """Whether pi_1 is finite: orientable total space, chi > 0 and e != 0.
+
+        A closed nonorientable 3-manifold has infinite pi_1 (Lefschetz); an
+        orientable one is spherical exactly in this case (Scott, The
+        geometries of 3-manifolds, 1983, section 3).  Otherwise the group is
+        infinite and its fiber has infinite order.
+        """
+        return (
+            self.epsilon.orientable_total_space
+            and orbifold_euler_characteristic(self) > 0
+            and euler_number(self) != 0
+        )
+
     def display(self) -> str:
         fibers = ",".join(f"({a}:{b})" for a, b in self.exceptional)
         return f"Y(b={self.b}; ({self.epsilon.value},g={self.genus}); {fibers or '-'})"
@@ -182,19 +197,11 @@ def fiber_order_rule(
 ) -> FiberOrderResult:
     """Decide whether the fiber class h has infinite order.
 
-    A nonorientable total space, nonpositive orbifold Euler characteristic,
-    or positive characteristic with zero Euler number forces an infinite
-    group with h of infinite order: a closed nonorientable 3-manifold has
-    infinite fundamental group (Lefschetz), in which the fiber has infinite
-    order (Scott, The geometries of 3-manifolds, 1983, section 3).  Otherwise
-    the group is finite: enumerate it and measure the order of h directly
-    rather than trusting any formula.
+    It does unless the datum is ``spherical``.  A spherical group is
+    enumerated and the order of h measured directly rather than trusting
+    any formula.
     """
-    if not s.epsilon.orientable_total_space:
-        return FiberOrderResult(FiberOrder.INFINITE)
-    chi = orbifold_euler_characteristic(s)
-    e = euler_number(s)
-    if chi <= 0 or (chi > 0 and e == 0):
+    if not s.spherical:
         return FiberOrderResult(FiberOrder.INFINITE)
     p = seifert_presentation(s)
     try:
@@ -363,15 +370,11 @@ def get_preset(name: str) -> CatalogEntry:
 def seifert_goodness(s: SeifertInvariants) -> Goodness:
     """Conservative goodness flag for a Seifert group.
 
-    Finite groups (orientable total space, chi > 0, e != 0) are good; so
-    are the nonnegative-curvature base cases with genus at most 1
-    (extensions of good groups by good groups).  Everything else stays
-    unknown, never silently good.
+    Finite (``spherical``) groups are good; so are the nonnegative-curvature
+    base cases with genus at most 1 (extensions of good groups by good
+    groups).  Everything else stays unknown, never silently good.
     """
-    chi = orbifold_euler_characteristic(s)
-    if s.epsilon.orientable_total_space and chi > 0 and euler_number(s) != 0:
-        return Goodness.GOOD  # finite group
-    if s.genus <= 1 and chi >= 0:
+    if s.spherical or (s.genus <= 1 and orbifold_euler_characteristic(s) >= 0):
         return Goodness.GOOD
     return Goodness.UNKNOWN
 
@@ -379,14 +382,10 @@ def seifert_goodness(s: SeifertInvariants) -> Goodness:
 def seifert_k1_trivial(s: SeifertInvariants) -> Optional[bool]:
     """k1 flag for the Seifert families the detection theorem covers.
 
-    Circle bundles over orientable surfaces of genus <= 1 and the elliptic
-    (finite, hence orientable) cases have trivial first k-invariant;
-    elsewhere the flag is left undetermined (None) and the pipeline refuses
-    a verdict.
+    Circle bundles over orientable surfaces of genus <= 1 and the finite
+    (``spherical``) cases have trivial first k-invariant; elsewhere the flag
+    is left undetermined (None) and the pipeline refuses a verdict.
     """
-    chi = orbifold_euler_characteristic(s)
-    if s.epsilon.orientable_total_space and chi > 0 and euler_number(s) != 0:
-        return True
-    if s.epsilon is Epsilon.O1 and s.genus <= 1:
+    if s.spherical or (s.epsilon is Epsilon.O1 and s.genus <= 1):
         return True
     return None

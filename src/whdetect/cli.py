@@ -26,7 +26,7 @@ from .catalog import (
 )
 from .coset import DEFAULT_MAX_COSETS, EnumerationBudgetExceeded, realize_presentation
 from .pipeline import SCHEMA_VERSION, analyze, reproduce_table_73
-from .steinberg import evaluate, k2_membership, parse_steinberg_word, pd_decompose
+from .steinberg import evaluate, parse_steinberg_word, pd_decompose
 from .whitehead import CoefficientSystem, wh1_general
 from .words import parse_presentation
 
@@ -106,7 +106,7 @@ def _cmd_steinberg(args: argparse.Namespace) -> int:
     pd = pd_decompose(matrix)
     print(matrix.display())
     print(f"PD form: {'yes' if pd else 'no'}")
-    print(f"K2 member: {'yes' if k2_membership(word, n, G) else 'no'}")
+    print(f"K2 member: {'yes' if matrix.is_identity() else 'no'}")
     return 0
 
 

@@ -11,7 +11,7 @@ trivial and the fundamental group is good.  The pipeline refuses to issue
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .analysis import conjugacy_classes, is_ambivalent
@@ -64,21 +64,11 @@ class DetectionReport:
     lemma74: Optional[str] = None
 
     def to_dict(self) -> dict:
+        # an existing key keeps its place when its value is replaced
         return {
             "schema": SCHEMA_VERSION,
-            "name": self.name,
-            "order": self.order,
-            "class_count": self.class_count,
-            "ambivalent": self.ambivalent,
-            "witness": self.witness,
-            "detection_rank": self.detection_rank,
-            "wh1_dim": self.wh1_dim,
-            "z4_dim": self.z4_dim,
-            "verdict": self.verdict,
-            "k1_trivial": self.k1_trivial,
-            "goodness": self.goodness,
+            **asdict(self),
             "detection_basis": list(self.detection_basis),
-            "lemma74": self.lemma74,
         }
 
     def to_json(self) -> str:
@@ -114,54 +104,45 @@ def analyze(
     stay unavailable and non-ambivalence is certified (when possible) by
     the central-fiber lemma alone.
     """
-    lemma74: Optional[str] = None
+    verdict74: Optional[Lemma74Verdict] = None
+    finite = True  # False for a Seifert group not known to be finite
     if isinstance(entry, CatalogEntry):
-        presentation = entry.presentation
-        name = name or entry.name
-        k1 = entry.k1_trivial if k1_trivial is None else k1_trivial
-        good = entry.goodness if goodness is None else goodness
+        presentation, default_name = entry.presentation, entry.name
+        default_k1, default_good = entry.k1_trivial, entry.goodness
     elif isinstance(entry, SeifertInvariants):
-        presentation = seifert_presentation(entry)
-        name = name or entry.display()
-        k1 = seifert_k1_trivial(entry) if k1_trivial is None else k1_trivial
-        good = seifert_goodness(entry) if goodness is None else goodness
+        presentation, default_name = seifert_presentation(entry), entry.display()
+        default_k1, default_good = seifert_k1_trivial(entry), seifert_goodness(entry)
         verdict74 = lemma74_check(entry, budget)
-        lemma74 = verdict74.value
-        if fiber_order_rule(entry, budget).kind is not FiberOrder.FINITE:
-            nonamb = (
-                True if verdict74 is Lemma74Verdict.NOT_AMBIVALENT else None
-            )
-            return DetectionReport(
-                name=name,
-                ambivalent=None if nonamb is None else False,
-                verdict=_verdict(nonamb, k1, good),
-                k1_trivial=k1,
-                goodness=good.value,
-                lemma74=lemma74,
-            )
+        finite = fiber_order_rule(entry, budget).kind is FiberOrder.FINITE
     else:
-        presentation = entry
-        name = name or "presentation"
-        k1 = k1_trivial
-        good = goodness if goodness is not None else Goodness.UNKNOWN
+        presentation, default_name = entry, "presentation"
+        default_k1, default_good = None, Goodness.UNKNOWN
+    k1 = default_k1 if k1_trivial is None else k1_trivial
+    good = default_good if goodness is None else goodness
+    shared = dict(
+        name=name or default_name,
+        k1_trivial=k1,
+        goodness=good.value,
+        lemma74=None if verdict74 is None else verdict74.value,
+    )
+    if not finite:
+        certified = verdict74 is Lemma74Verdict.NOT_AMBIVALENT
+        return DetectionReport(
+            ambivalent=False if certified else None,
+            verdict=_verdict(certified or None, k1, good),
+            **shared,
+        )
 
     try:
         G = realize_presentation(presentation, budget)
     except EnumerationBudgetExceeded:
-        return DetectionReport(
-            name=name,
-            verdict="preconditions_unmet",
-            k1_trivial=k1,
-            goodness=good.value,
-            lemma74=lemma74,
-        )
+        return DetectionReport(verdict="preconditions_unmet", **shared)
     profile = conjugacy_classes(G)
     amb = is_ambivalent(G, profile)
     space = involution_space(profile)
     # one representative per swapped pair spans the detection quotient
     basis = tuple(profile.classes[c][0] for c, _ in profile.swapped_pairs)
     return DetectionReport(
-        name=name,
         order=G.order,
         class_count=profile.n_classes,
         ambivalent=amb.ambivalent,
@@ -170,10 +151,8 @@ def analyze(
         wh1_dim=space.dim,
         z4_dim=space.z4_dim,
         verdict=_verdict(not amb.ambivalent, k1, good),
-        k1_trivial=k1,
-        goodness=good.value,
         detection_basis=basis,
-        lemma74=lemma74,
+        **shared,
     )
 
 

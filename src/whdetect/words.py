@@ -22,6 +22,10 @@ class PresentationError(ValueError):
     """Malformed presentation text or inconsistent presentation data."""
 
 
+# a generator name, and the name part of a word token
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
+
+
 @dataclass(frozen=True)
 class Generator:
     """A named generator with a dense index into the alphabet."""
@@ -32,8 +36,10 @@ class Generator:
     def __post_init__(self) -> None:
         if self.index < 0:
             raise PresentationError(f"generator index must be >= 0, got {self.index}")
-        if not self.name:
-            raise PresentationError("generator name must be nonempty")
+        if not _NAME.fullmatch(self.name):
+            raise PresentationError(
+                f"generator name {self.name!r} does not match {_NAME.pattern}"
+            )
 
 
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
@@ -108,7 +114,7 @@ def commutator(u: Word, v: Word) -> Word:
     return u * v * u.inverse() * v.inverse()
 
 
-_TOKEN = re.compile(r"([A-Za-z_][A-Za-z_0-9']*)(?:\s*\^\s*(-?\d+))?")
+_TOKEN = re.compile(rf"({_NAME.pattern})(?:\s*\^\s*(-?\d+))?")
 
 
 def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:

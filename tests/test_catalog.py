@@ -148,6 +148,35 @@ def test_fiber_order_rule_infinite_cases():
     assert fiber_order_rule(nonorientable, 1).kind is FiberOrder.INFINITE
 
 
+# every base type at genus min..min+2, b in [-3, 3], at most two fibers of order <= 5
+_FIBERS = [(a, b) for a in range(2, 6) for b in range(1, a) if gcd(a, b) == 1]
+_GRID = [
+    SeifertInvariants(b, eps, g, fibers)
+    for eps in Epsilon
+    for g in range(eps.min_genus, eps.min_genus + 3)
+    for b in range(-3, 4)
+    for r in range(3)
+    for fibers in itertools.combinations_with_replacement(_FIBERS, r)
+]
+
+
+def test_fiber_order_rule_enumerates_exactly_the_spherical_data():
+    """Budget 1 leaves only the trivial group finite, so any enumeration ends
+    FINITE or UNDETERMINED, and only a spherical datum is enumerated."""
+    kinds = {s: fiber_order_rule(s, 1).kind for s in _GRID}
+    assert all((kind is FiberOrder.INFINITE) == (not s.spherical) for s, kind in kinds.items())
+    assert set(kinds.values()) == set(FiberOrder)
+
+
+def test_spherical_data_are_finite_good_and_k1_trivial():
+    spherical = [s for s in _GRID if s.spherical]
+    assert len(spherical) > 400
+    for s in spherical:
+        assert fiber_order_rule(s, 2_000).kind is FiberOrder.FINITE, s
+        assert seifert_goodness(s) is Goodness.GOOD, s
+        assert seifert_k1_trivial(s) is True, s
+
+
 def test_orientable_total_space_is_o1_and_n2():
     assert [e for e in Epsilon if e.orientable_total_space] == [Epsilon.O1, Epsilon.N2]
 

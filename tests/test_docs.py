@@ -1,6 +1,8 @@
-"""The README quick start and every demo script run as documented."""
+"""The README quick start, its command lines and every demo script run as
+documented."""
 
 import re
+import shlex
 
 import pytest
 
@@ -20,6 +22,22 @@ def test_readme_python_blocks():
             if line.startswith("print(") and "#" in line
         ]
         assert r.stdout.splitlines() == documented
+
+
+def _readme_commands():
+    blocks = re.findall(r"```sh\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    return [
+        shlex.split(line, comments=True)
+        for block in blocks
+        for line in block.splitlines()
+        if line.startswith("whdetect ")
+    ]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=" ".join)
+def test_readme_command_lines(argv):
+    r = run_python("-m", "whdetect.cli", *argv[1:])
+    assert r.returncode == 0, r.stderr
 
 
 @pytest.mark.parametrize(

@@ -229,6 +229,24 @@ def test_cli_steinberg_eval(capsys):
     assert "K2 member: no" in out
 
 
+def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
+    from whdetect import cli, steinberg
+
+    evaluate, calls = steinberg.evaluate, []
+
+    def counted(*args):
+        calls.append(args)
+        return evaluate(*args)
+
+    monkeypatch.setattr(cli, "evaluate", counted)
+    monkeypatch.setattr(steinberg, "evaluate", counted)
+    code, out = run_cli(
+        capsys, "steinberg", "eval", "--group", "cyclic_4", "--word", "x(1,2;+a) x(1,2;-a)"
+    )
+    assert code == 0 and "K2 member: yes" in out
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -255,6 +273,16 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1
     assert r.stdout == ""
+
+
+def test_cli_presentation_sections_on_two_lines_is_one_line_exit_2(tmp_path):
+    """Without ``;`` the second line would be read into a generator name."""
+    f = tmp_path / "two_lines.txt"
+    f.write_text("gens: a\nrels: a^4\n")
+    r = run_python("-m", "whdetect.cli", "analyze", "--presentation", str(f))
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("whdetect: error: ")
 
 
 def test_cli_catalog_formats(capsys):

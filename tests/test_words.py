@@ -102,6 +102,27 @@ def test_presentation_validation():
         Presentation((Generator(0, "a"),), (Word(((1, 1),)),))
 
 
+@pytest.mark.parametrize("name", ["a", "x1", "_t", "a'", "Ab_2''"])
+def test_generator_name_is_a_word_token(name):
+    gens = (Generator(0, name),)
+    assert parse_word(f"{name}^-2", gens) == Word(((0, -1), (0, -1)))
+
+
+@pytest.mark.parametrize(
+    "name", ["", "a b", "a\nrels: a^4", "1a", "a^2", "a,b", "-a", "a*b", "a "]
+)
+def test_generator_name_not_a_word_is_rejected(name):
+    with pytest.raises(PresentationError):
+        Generator(0, name)
+
+
+def test_presentation_text_with_a_non_word_generator_is_rejected():
+    with pytest.raises(PresentationError):
+        parse_presentation("gens: a\nrels: a^4")
+    with pytest.raises(PresentationError):
+        parse_presentation("gens: a b; rels: a^4")
+
+
 def test_presentation_display_roundtrip():
     p = make_presentation(["a", "x"], ["a^4", "x^-1 a x a"])
     assert parse_presentation(p.display()).relators == p.relators
