@@ -4,6 +4,14 @@ HLT-style relator scanning with immediate coincidence processing via
 union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
+The working table is stored column-major: one list per generator and one per
+inverse, indexed by coset, with -1 for an undefined entry.  A new coset
+appends one entry to each column, and each relator is resolved once into the
+column lists it reads forward and the inverse-column lists it reads
+backward, so scanning a letter is one subscript on a list.  The layout does
+not reach the result: entries are defined, deduced and merged in HLT order
+whatever the storage, and the rows are read off the columns at the end.
+
 A relator that is a proper power w^k (k >= 2) is scanned once per w-cycle
 instead of once per coset: after its scan at a live coset alpha, the whole
 trace alpha.w^k = alpha is defined, so every coset alpha.w^i is marked and its
@@ -49,10 +57,6 @@ def _col(letter: tuple[int, int]) -> int:
     return 2 * g + (0 if s > 0 else 1)
 
 
-def _inv_col(col: int) -> int:
-    return col ^ 1
-
-
 def _proper_period(cols: Sequence[int]) -> int:
     """Length of the shortest w with cols = w^k for some k >= 2, else 0."""
     n = len(cols)
@@ -63,19 +67,22 @@ def _proper_period(cols: Sequence[int]) -> int:
 
 
 class _Enumerator:
-    """Mutable HLT enumeration state.
+    """Mutable HLT enumeration state, with the table stored by columns.
 
-    ``marks`` holds one byte per coset for each proper-power relator: 1 where
-    the relator's trace is known to be closed.
+    ``cols[c][a]`` is the coset a.c, or -1 while undefined, where column 2g
+    is the generator g and column 2g+1 its inverse.  The column lists are
+    only ever grown and written in place, never replaced, so a relator
+    resolved once into the lists it reads (see :meth:`scan_and_fill`) stays
+    valid for the whole enumeration.  Definitions, deductions and
+    coincidences touch the same entries in the same order as they would on a
+    table of one list per coset, so :meth:`rows` gives the same rows.
     """
 
     def __init__(self, n_generators: int, max_cosets: int):
-        self.ncols = 2 * n_generators
+        self.cols: list[list[int]] = [[-1] for _ in range(2 * n_generators)]
         self.max_cosets = max_cosets
-        self.table: list[list[int | None]] = [[None] * self.ncols]
         self.parent: list[int] = [0]
         self.queue: list[int] = []
-        self.marks: list[bytearray] = []
 
     def rep(self, a: int) -> int:
         root = a
@@ -85,21 +92,18 @@ class _Enumerator:
             self.parent[a], a = root, self.parent[a]
         return root
 
-    def is_live(self, a: int) -> bool:
-        return self.parent[a] == a
-
-    def define(self, a: int, col: int) -> int:
-        if len(self.table) >= self.max_cosets:
+    def define(self, a: int, col: list[int], inv_col: list[int]) -> int:
+        """Define the new coset b = a.x, where col and inv_col are x and x^-1."""
+        b = len(self.parent)
+        if b >= self.max_cosets:
             raise EnumerationBudgetExceeded(
                 f"coset budget {self.max_cosets} exhausted"
             )
-        b = len(self.table)
-        self.table.append([None] * self.ncols)
         self.parent.append(b)
-        for marks in self.marks:
-            marks.append(0)
-        self.table[a][col] = b
-        self.table[b][_inv_col(col)] = a
+        for c in self.cols:
+            c.append(-1)
+        col[a] = b
+        inv_col[b] = a
         return b
 
     def _merge(self, a: int, b: int) -> None:
@@ -111,40 +115,47 @@ class _Enumerator:
         self.queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
+        cols = self.cols
         self._merge(a, b)
         while self.queue:
             dead = self.queue.pop()
-            row = self.table[dead]
-            for col in range(self.ncols):
-                delta = row[col]
-                if delta is None:
+            for c, col in enumerate(cols):
+                delta = col[dead]
+                if delta < 0:
                     continue
-                row[col] = None
+                col[dead] = -1
+                inv_col = cols[c ^ 1]
                 # drop the back-arrow from delta before rerouting
-                self.table[delta][_inv_col(col)] = None
+                inv_col[delta] = -1
                 d = self.rep(delta)
                 mu = self.rep(dead)
-                existing = self.table[mu][col]
-                if existing is not None:
+                existing = col[mu]
+                if existing >= 0:
                     self._merge(d, existing)
                 else:
-                    back = self.table[d][_inv_col(col)]
-                    if back is not None:
+                    back = inv_col[d]
+                    if back >= 0:
                         self._merge(mu, back)
                     else:
-                        self.table[mu][col] = d
-                        self.table[d][_inv_col(col)] = mu
+                        col[mu] = d
+                        inv_col[d] = mu
 
-    def scan_and_fill(self, alpha: int, relator_cols: Sequence[int]) -> None:
-        """Scan a relator at coset alpha, defining cosets as needed."""
-        if not relator_cols:
-            return
+    def scan_and_fill(
+        self, alpha: int, relator: tuple[list[list[int]], list[list[int]]]
+    ) -> None:
+        """Scan a relator at coset alpha, defining cosets as needed.
+
+        ``relator`` is ``(forward, backward)``: for each letter x in turn,
+        the column list of x and that of x^-1, so reading a letter in either
+        direction is one subscript.
+        """
+        forward, backward = relator
         f, b = alpha, alpha
-        i, j = 0, len(relator_cols) - 1
+        i, j = 0, len(forward) - 1
         while True:
             while i <= j:
-                nxt = self.table[f][relator_cols[i]]
-                if nxt is None:
+                nxt = forward[i][f]
+                if nxt < 0:
                     break
                 f = nxt
                 i += 1
@@ -153,8 +164,8 @@ class _Enumerator:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                prev = self.table[b][_inv_col(relator_cols[j])]
-                if prev is None:
+                prev = backward[j][b]
+                if prev < 0:
                     break
                 b = prev
                 j -= 1
@@ -163,37 +174,46 @@ class _Enumerator:
                 return
             if j == i:
                 # deduction closing the scan
-                self.table[f][relator_cols[i]] = b
-                self.table[b][_inv_col(relator_cols[i])] = f
+                forward[i][f] = b
+                backward[i][b] = f
                 return
-            f = self.define(f, relator_cols[i])
+            f = self.define(f, forward[i], backward[i])
             i += 1
 
-    def mark_cycle(self, alpha: int, period_cols: Sequence[int], marks: bytearray) -> None:
-        """Mark alpha.w^i for every i, once alpha's scan of w^k has closed."""
-        table = self.table
+    def mark_cycle(
+        self, alpha: int, period: list[list[int]], marks: bytearray
+    ) -> None:
+        """Mark alpha.w^i for every i, once alpha's scan of w^k has closed.
+
+        ``period`` holds the column lists of w; ``marks`` is grown here to
+        one byte per coset defined so far.
+        """
+        marks.extend(bytes(len(self.parent) - len(marks)))
         beta = alpha
         while True:
             marks[beta] = 1
-            for col in period_cols:
-                beta = table[beta][col]
+            for col in period:
+                beta = col[beta]
             if beta == alpha:
                 return
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The completed table, live cosets renumbered in increasing order."""
-        live = [a for a in range(len(self.table)) if self.is_live(a)]
-        renum = {old: new for new, old in enumerate(live)}
-        rows = []
-        for old in live:
-            row = []
-            for col in range(self.ncols):
-                entry = self.table[old][col]
-                if entry is None:
-                    raise IncompleteTableError("enumeration left an undefined entry")
-                row.append(renum[self.rep(entry)])
-            rows.append(tuple(row))
-        return tuple(rows)
+        cols = self.cols
+        live = [a for a, root in enumerate(self.parent) if a == root]
+        if len(live) < len(self.parent):
+            # drop the cosets a coincidence killed and renumber the rest
+            index = [-1] * len(self.parent)
+            for new, old in enumerate(live):
+                index[old] = new
+            cols = [
+                [col[a] if col[a] < 0 else index[self.rep(col[a])] for a in live]
+                for col in cols
+            ]
+        if any(-1 in col for col in cols):
+            raise IncompleteTableError("enumeration left an undefined entry")
+        # with no generator the only coset is 0, and its row is empty
+        return tuple(zip(*cols)) or ((),)
 
 
 def enumerate_cosets(
@@ -208,7 +228,10 @@ def enumerate_cosets(
     Cosets are defined in HLT order.  A proper-power relator w^k is not
     rescanned at a coset its w-cycle already closed; such a scan would change
     nothing, so the definitions, the budget count and the rows equal those of
-    scanning every relator at every live coset.
+    scanning every relator at every live coset.  The working table is kept
+    by columns (one list per generator and per inverse) and each relator is
+    resolved once into the lists it reads; the rows are read off the columns
+    at the end, so they are the same as from a table kept by rows.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite).
@@ -216,32 +239,32 @@ def enumerate_cosets(
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
     st = _Enumerator(p.rank, max_cosets)
+    cols, parent = st.cols, st.parent
     relators = []
     for r in p.relators:
-        cols = [_col(letter) for letter in r.letters]
-        period = _proper_period(cols)
-        marks = None
-        if period:
-            marks = bytearray(1)
-            st.marks.append(marks)
-        relators.append((cols, cols[:period], marks))
+        letters = [_col(letter) for letter in r.letters]
+        forward = [cols[c] for c in letters]
+        backward = [cols[c ^ 1] for c in letters]
+        period = _proper_period(letters)
+        marks = bytearray() if period else None
+        relators.append(((forward, backward), forward[:period], marks))
     alpha = 0
-    while alpha < len(st.table):
-        if not st.is_live(alpha):
+    while alpha < len(parent):
+        if parent[alpha] != alpha:
             alpha += 1
             continue
-        for cols, period_cols, marks in relators:
-            if marks is not None and marks[alpha]:
+        for relator, period, marks in relators:
+            if marks is not None and alpha < len(marks) and marks[alpha]:
                 continue  # alpha.r = alpha is already traced in full
-            st.scan_and_fill(alpha, cols)
-            if not st.is_live(alpha):
+            st.scan_and_fill(alpha, relator)
+            if parent[alpha] != alpha:
                 break
             if marks is not None:
-                st.mark_cycle(alpha, period_cols, marks)
-        if st.is_live(alpha):
-            for col in range(st.ncols):
-                if st.table[alpha][col] is None:
-                    st.define(alpha, col)
+                st.mark_cycle(alpha, period, marks)
+        if parent[alpha] == alpha:
+            for c, col in enumerate(cols):
+                if col[alpha] < 0:
+                    st.define(alpha, col, cols[c ^ 1])
         alpha += 1
     return st.rows()
 

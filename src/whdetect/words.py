@@ -205,21 +205,21 @@ def parse_presentation(text: str) -> Presentation:
     """Parse the text format ``gens: a, x; rels: a^4, x^2 a^-2, x^-1 a x a``.
 
     Whitespace-insensitive; relators comma-separated; equations allowed.
+    Each section appears at most once, so a repeated ``rels:`` cannot
+    silently drop the relators of the first.
     """
     parts = [p.strip() for p in text.split(";")]
-    gen_names: list[str] | None = None
-    rel_texts: list[str] = []
+    sections: dict[str, list[str]] = {}
     for part in parts:
         if not part:
             continue
         key, _, rest = part.partition(":")
         key = key.strip().lower()
-        if key == "gens":
-            gen_names = [n.strip() for n in rest.split(",") if n.strip()]
-        elif key == "rels":
-            rel_texts = [t for t in (s.strip() for s in rest.split(",")) if t]
-        else:
+        if key not in ("gens", "rels"):
             raise PresentationError(f"unknown section {key!r}")
-    if gen_names is None:
+        if key in sections:
+            raise PresentationError(f"repeated section {key!r}")
+        sections[key] = [t for t in (s.strip() for s in rest.split(",")) if t]
+    if "gens" not in sections:
         raise PresentationError("missing 'gens:' section")
-    return make_presentation(gen_names, rel_texts)
+    return make_presentation(sections["gens"], sections.get("rels", []))

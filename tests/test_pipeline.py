@@ -260,11 +260,13 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         ["analyze", "--seifert", "1,o2,0"],
         ["wh1", "--preset", "cyclic_4", "--gamma=2,-3"],
         ["wh1", "--preset", "cyclic_4", "--gamma="],
+        ["analyze", "--presentation", "tests/data/repeated_rels.txt"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
         "budget-exhausted", "missing-presentation-file", "non-canonical-preset",
         "seifert-genus-too-small", "negative-gamma-factor", "empty-gamma",
+        "repeated-section",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
@@ -272,6 +274,7 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert r.returncode == 2
     assert "Traceback" not in r.stderr
     assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("whdetect: error: ")
     assert r.stdout == ""
 
 

@@ -123,6 +123,21 @@ def test_presentation_text_with_a_non_word_generator_is_rejected():
         parse_presentation("gens: a b; rels: a^4")
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "gens: a; rels: a^2; rels: a^3",
+        "gens: a; gens: b; rels: b^3",
+        "rels: a^2; gens: a; rels: a^3",
+        "gens: a; rels: a^2; GENS: a",
+        "gens: a; rels:; rels: a^3",
+    ],
+)
+def test_repeated_section_is_rejected(text):
+    with pytest.raises(PresentationError, match="repeated section"):
+        parse_presentation(text)
+
+
 def test_presentation_display_roundtrip():
     p = make_presentation(["a", "x"], ["a^4", "x^-1 a x a"])
     assert parse_presentation(p.display()).relators == p.relators
