@@ -8,7 +8,6 @@ fundamental groups.
 from .analysis import (
     AmbivalenceVerdict,
     ConjugacyProfile,
-    centre,
     conjugacy_classes,
     is_ambivalent,
 )
@@ -47,7 +46,6 @@ from .whitehead import (
     involution_space,
     smith_normal_form,
     wh1_general,
-    wh1_z2_fast,
 )
 from .words import (
     Generator,

@@ -1,4 +1,4 @@
-"""Conjugacy classes, the inversion map on classes, ambivalence, centres."""
+"""Conjugacy classes, the inversion map on classes, ambivalence."""
 
 from __future__ import annotations
 
@@ -98,9 +98,3 @@ def is_ambivalent(
         return AmbivalenceVerdict(False, witness=profile.classes[pairs[0][0]][0])
     return AmbivalenceVerdict(True)
 
-
-def centre(G: FiniteGroupRealization) -> tuple[int, ...]:
-    """Elements that conjugation by every generator fixes: those commuting
-    with all of G."""
-    perms = [G.conjugation(g, 1) for g in range(G.source.rank)]
-    return tuple(z for z in range(G.order) if all(perm[z] == z for perm in perms))

@@ -25,7 +25,14 @@ from .coset import (
     element_order,
     realize_presentation,
 )
-from .words import Generator, Presentation, Word, commutator, make_presentation
+from .words import (
+    MAX_WORD_LETTERS,
+    Generator,
+    Presentation,
+    Word,
+    commutator,
+    make_presentation,
+)
 
 
 class SeifertError(ValueError):
@@ -121,8 +128,16 @@ def seifert_presentation(s: SeifertInvariants) -> Presentation:
     a_i h a_i^-1 h^-eps_i, b_i h b_i^-1 h^-eps_i, [q_j, h], q_j^alpha_j
     h^beta_j, and q_1...q_r [a_1,b_1]...[a_g,b_g] h^-b.  Nonorientable base:
     v_i replace the a_i, b_i pairs and the long relator ends v_1^2...v_g^2.
+    Raises :class:`SeifertError` before building relators that would hold
+    more than ``MAX_WORD_LETTERS`` letters in all.
     """
     g, r = s.genus, len(s.exceptional)
+    # the letters before free reduction with an orientable base, a bound otherwise
+    letters = 12 * g + sum(a + abs(b) + 5 for a, b in s.exceptional) + abs(s.b)
+    if letters > MAX_WORD_LETTERS:
+        raise SeifertError(
+            f"relators would hold {letters} letters, more than {MAX_WORD_LETTERS}"
+        )
     eps = _epsilon_exponents(s.epsilon, g)
     if s.epsilon.orientable_base:
         names = [x for i in range(1, g + 1) for x in (f"a{i}", f"b{i}")]
@@ -319,6 +334,11 @@ def _binary_polyhedral_entry(p: int) -> CatalogEntry:
     )
 
 
+# the largest max_order builtin_groups accepts: the relators of its entries
+# hold about 0.6 * max_order^2 letters, some 37 MiB at this cap
+MAX_CATALOG_ORDER = 1000
+
+
 def builtin_groups(max_order: int) -> list[CatalogEntry]:
     """Catalog entries up to the given order, expectations prefilled.
 
@@ -327,8 +347,8 @@ def builtin_groups(max_order: int) -> list[CatalogEntry]:
     octahedral group and the binary icosahedral group.  Dihedral groups are
     included as non-3-manifold cross-checks (all of them are ambivalent).
     """
-    if max_order < 1:
-        raise ValueError("max_order must be >= 1")
+    if not 1 <= max_order <= MAX_CATALOG_ORDER:
+        raise ValueError(f"max_order must be in 1..{MAX_CATALOG_ORDER}")
     entries = [_cyclic_entry(m) for m in range(1, max_order + 1)]
     entries += [_dicyclic_entry(ell) for ell in range(1, max_order // 4 + 1)]
     entries += [

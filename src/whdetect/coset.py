@@ -276,19 +276,19 @@ class FiniteGroupRealization:
     Elements are the cosets 0..order-1 with the identity at 0, and
     ``table`` holds the rows that :func:`enumerate_cosets` returns: the
     right regular action of the presentation generators.  ``tree`` is the
-    BFS word tree from the identity, one ``(element, parent, generator,
-    sign)`` per nonidentity element in discovery order, with element =
-    parent . generator^sign; each parent tries a.g then a.g^-1 for every
-    generator g in turn, so reading it from the identity spells a shortest
-    word for each element.  No other module reads these two fields; they use
-    what is derived from them here.  ``element_names`` spells each element
-    as its tree word.  ``inv`` and the n x n ``mul`` are built on first
-    read, and only the group ring, the tests and the benchmark's oracles
-    read ``mul``.
+    BFS word tree from the identity, one ``(element, parent, column)`` per
+    nonidentity element in discovery order, with element =
+    ``table[parent][column]``; each parent tries its columns in order, a.g
+    then a.g^-1 for every generator g in turn, so reading it from the
+    identity spells a shortest word for each element.  No other module
+    reads these two fields; they use what is derived from them here.
+    ``element_names`` spells each element as its tree word.  ``inv`` and
+    the n x n ``mul`` are built on first read, and only the group ring, the
+    tests and the benchmark's oracles read ``mul``.
     """
 
     table: tuple[tuple[int, ...], ...]
-    tree: tuple[tuple[int, int, int, int], ...]
+    tree: tuple[tuple[int, int, int], ...]
     source: Presentation
 
     @property
@@ -305,8 +305,8 @@ class FiniteGroupRealization:
         row = [0] * self.order
         row[0] = t
         table = self.table
-        for b, a, g, s in self.tree:
-            row[b] = table[row[a]][2 * g + (s < 0)]
+        for b, a, c in self.tree:
+            row[b] = table[row[a]][c]
         return row
 
     def conjugation(self, g: int, s: int) -> list[int]:
@@ -319,8 +319,9 @@ class FiniteGroupRealization:
         """A display name per element: its word along the tree, "1" at 0."""
         names = ["1"] + [""] * (self.order - 1)
         gens = self.source.generators
-        for b, a, g, s in self.tree:
-            tag = gens[g].name if s > 0 else f"{gens[g].name}^-1"
+        for b, a, c in self.tree:
+            name = gens[c >> 1].name
+            tag = f"{name}^-1" if c & 1 else name
             names[b] = tag if a == 0 else f"{names[a]} {tag}"
         return names
 
@@ -334,8 +335,8 @@ class FiniteGroupRealization:
         """inv[a] = a^-1, along the tree: (a.x)^-1 = x^-1 . a^-1."""
         inv = [0] * self.order
         lefts: dict[int, list[int]] = {}
-        for b, a, g, s in self.tree:
-            col = _col((g, -s))  # the column of x^-1
+        for b, a, c in self.tree:
+            col = c ^ 1  # the column of x^-1
             if col not in lefts:
                 lefts[col] = self.left(self.table[0][col])
             inv[b] = lefts[col][inv[a]]
@@ -346,14 +347,6 @@ class FiniteGroupRealization:
         for letter in w.letters:
             acc = self.table[acc][_col(letter)]
         return acc
-
-    def is_abelian(self) -> bool:
-        imgs = self.generator_images
-        return all(
-            self.table[imgs[g]][2 * h] == self.table[imgs[h]][2 * g]
-            for g in range(len(imgs))
-            for h in range(g)
-        )
 
 
 def realize(
@@ -366,13 +359,13 @@ def realize(
     """
     seen = [False] * len(rows)
     seen[0] = True
-    tree: list[tuple[int, int, int, int]] = []
+    tree: list[tuple[int, int, int]] = []
     queue = [0]
     for a in queue:  # grows while iterated: a FIFO walk, level by level
         for col, b in enumerate(rows[a]):
             if not seen[b]:
                 seen[b] = True
-                tree.append((b, a, col >> 1, -1 if col & 1 else 1))
+                tree.append((b, a, col))
                 queue.append(b)
     if len(queue) != len(rows):
         raise IncompleteTableError("coset table is not transitive from coset 0")

@@ -30,6 +30,10 @@ class SteinbergError(ValueError):
     pass
 
 
+# the largest dimension evaluate builds its n x n matrix at
+MAX_DIMENSION = 100
+
+
 @dataclass(frozen=True)
 class GroupRingElement:
     """An element of Z[pi]: a finite map group element -> integer coefficient.
@@ -216,11 +220,14 @@ def evaluate(
     Each letter x(i,j;lam) is one column operation on the running product:
     column j += column i * lam, with lam on the right.  The tests check the
     result against ``matmul`` of the letters' matrices I + lam*E_ij.
+    Raises :class:`SteinbergError` for a dimension above ``MAX_DIMENSION``.
     """
     if w.min_dimension() > n:
         raise SteinbergError(
             f"word uses index {w.min_dimension()} but dimension is {n}"
         )
+    if n > MAX_DIMENSION:
+        raise SteinbergError(f"dimension {n} exceeds {MAX_DIMENSION}")
     rows = [list(row) for row in GroupRingMatrix.identity(G, n).entries]
     for letter in w.letters:
         i, j, lam = letter.row - 1, letter.col - 1, letter.coeff

@@ -14,8 +14,9 @@ matrix: Gamma's torsion and I - M_c for the Schreier generators c of the
 centralizer C(x) found while walking the class, each by a certified Smith
 normal form.  The tests compare it with ``wh1_dense``, one Smith normal
 form of the whole (r * |pi|)-column relation matrix.  For Gamma = Z/2 with
-the trivial action, ``wh1_z2_fast`` gives the free Z/2-vector space on the
-nontrivial conjugacy classes, and the tests check the two routes agree.
+the trivial action every centralizer acts trivially, so each summand is Z/2
+and Wh1(pi; Z/2) is the free Z/2-vector space on the nontrivial conjugacy
+classes; the tests check ``wh1_general`` against that class count.
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
 both Stiefel-Whitney twists vanish) permutes the basis by class inversion.
@@ -29,7 +30,7 @@ GF(2) elimination of the differential matrix on every catalog group.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
 
@@ -197,10 +198,6 @@ class CoefficientSystem:
     def rank(self) -> int:
         return len(self.invariant_factors)
 
-    @staticmethod
-    def z2_trivial() -> "CoefficientSystem":
-        return CoefficientSystem((2,))
-
     def action_of_generator(self, g: int) -> list[list[int]]:
         if self.action is None:
             return _identity(self.rank)
@@ -209,14 +206,9 @@ class CoefficientSystem:
 
 @dataclass(frozen=True)
 class WhiteheadGroupResult:
-    """Wh1(pi; Gamma) as an abelian group by invariant factors.
-
-    For the Gamma = Z/2 trivial-action fast path, ``basis_labels`` carries
-    the nontrivial conjugacy classes labelling the Z/2 summands.
-    """
+    """Wh1(pi; Gamma) as an abelian group by invariant factors."""
 
     invariant_factors: tuple[int, ...]
-    basis_labels: tuple[tuple[int, ...], ...] = field(default_factory=tuple)
 
 
 def _identity(r: int) -> IntMatrix:
@@ -376,12 +368,6 @@ def wh1_general(
     return WhiteheadGroupResult(_invariant_chain(summands))
 
 
-def wh1_z2_fast(profile: ConjugacyProfile) -> WhiteheadGroupResult:
-    """Wh1(pi; Z/2), trivial action: free Z/2-space on nontrivial classes."""
-    labels = profile.classes[1:]
-    return WhiteheadGroupResult((2,) * len(labels), labels)
-
-
 # ---------------------------------------------------------------------------
 # Involution, differential, detection quotient
 # ---------------------------------------------------------------------------
@@ -391,16 +377,16 @@ def wh1_z2_fast(profile: ConjugacyProfile) -> WhiteheadGroupResult:
 class InvolutionSpace:
     """Wh1(pi; Z/2) with the class-inversion involution and differential.
 
-    Basis: nontrivial conjugacy classes (dimension s + 2p over Z/2).
-    ``bar`` permutes the basis by class inversion; the differential at
-    parity i is x + (-1)^i x-bar, which over Z/2 at i = 4 is id + bar.
+    Basis: nontrivial conjugacy classes (dimension s + 2p over Z/2).  The
+    involution bar permutes the basis by class inversion, the profile's
+    ``inversion_perm``; the differential at parity i is x + (-1)^i x-bar,
+    which over Z/2 at i = 4 is id + bar.
     ``quotient_dim`` is the detection rank: positive exactly when the group
     is not ambivalent, in which case there are homeomorphisms
     pseudo-isotopic but not isotopic to the identity.
     """
 
     dim: int
-    bar: tuple[int, ...]
     z4_dim: int
     quotient_dim: int
 
@@ -411,9 +397,9 @@ def involution_space(profile: ConjugacyProfile) -> InvolutionSpace:
     id + bar has rank p, the number of swapped class pairs, so the detection
     quotient has dimension p and Z4 = ker(id + bar) has dimension s + p.
     Both are read off ``profile.paired_count``; the tests check them against
-    exact GF(2) elimination of the differential matrix built from ``bar``.
+    exact GF(2) elimination of the differential matrix built from
+    ``profile.inversion_perm``.
     """
     dim = profile.n_classes - 1
-    bar = tuple(profile.inversion_perm[c + 1] - 1 for c in range(dim))
     p = profile.paired_count
-    return InvolutionSpace(dim, bar, dim - p, p)
+    return InvolutionSpace(dim, dim - p, p)

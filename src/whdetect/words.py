@@ -13,6 +13,10 @@ from typing import Iterable, Sequence
 
 Letter = tuple[int, int]
 
+# the most letters a parsed word, or all relators of a parsed presentation,
+# may expand to (about 84 MiB of letters); checked before they are allocated
+MAX_WORD_LETTERS = 1_000_000
+
 
 class WordError(ValueError):
     """Malformed word text or a word referencing an undeclared generator."""
@@ -79,14 +83,6 @@ class Word:
         """Reversed letters with flipped signs."""
         return Word(tuple((g, -s) for g, s in reversed(self.letters)))
 
-    def __pow__(self, n: int) -> "Word":
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = Word()
-        for _ in range(n):
-            out = out * self
-        return out
-
     def max_generator(self) -> int:
         """Largest generator index used, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
@@ -121,7 +117,9 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
     """Parse word text like ``x^-1 a x a`` over the given alphabet.
 
     Inverses may be written ``a^-1`` or as the uppercase of a lowercase
-    generator name.  Returns the freely reduced word.
+    generator name.  Returns the freely reduced word.  Raises
+    :class:`WordError` before expanding a power that would take the word
+    past ``MAX_WORD_LETTERS`` letters.
     """
     by_name = {g.name: g.index for g in alphabet}
     letters: list[Letter] = []
@@ -147,6 +145,8 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
                 raise WordError(f"unknown generator {name!r}")
         idx = by_name[name]
         exp = sign * (1 if exp_s is None else int(exp_s))
+        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+            raise WordError(f"word longer than {MAX_WORD_LETTERS} letters")
         letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
         pos = m.end()
     return Word(tuple(letters))
@@ -187,16 +187,23 @@ def make_presentation(gen_names: Sequence[str], relator_texts: Sequence[str]) ->
     """Build a presentation from generator names and relator strings.
 
     A relator string may be an equation ``u = v``; it is normalized to the
-    relator u v^-1.
+    relator u v^-1.  The relators may hold ``MAX_WORD_LETTERS`` letters in
+    all, after free reduction.
     """
     gens = tuple(Generator(i, n) for i, n in enumerate(gen_names))
     rels = []
+    total = 0
     for t in relator_texts:
         if "=" in t:
             lhs, rhs = t.split("=", 1)
             w = parse_word(lhs, gens) * parse_word(rhs, gens).inverse()
         else:
             w = parse_word(t, gens)
+        total += len(w)
+        if total > MAX_WORD_LETTERS:
+            raise PresentationError(
+                f"relators longer than {MAX_WORD_LETTERS} letters in all"
+            )
         rels.append(w)
     return Presentation(gens, tuple(rels))
 

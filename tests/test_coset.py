@@ -4,7 +4,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whdetect.analysis import centre, conjugacy_classes, is_ambivalent
+from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups, cyclic, dicyclic
 from whdetect.coset import (
     EnumerationBudgetExceeded,
@@ -381,9 +381,10 @@ def test_table_primitives_match_mul_and_inv(entry):
     full multiplication table and the inverses."""
     G = realize_presentation(entry.presentation)
     n, mul, inv, imgs = G.order, G.mul, G.inv, G.generator_images
-    assert sorted(b for b, _, _, _ in G.tree) == list(range(1, n))
-    for b, a, g, s in G.tree:
-        assert b == mul[a][imgs[g] if s > 0 else inv[imgs[g]]]
+    assert sorted(b for b, _, _ in G.tree) == list(range(1, n))
+    for b, a, c in G.tree:
+        x = imgs[c >> 1]  # column 2g is the generator g, column 2g+1 its inverse
+        assert b == mul[a][inv[x] if c & 1 else x]
     for t in range(n):
         assert G.left(t) == list(mul[t])
     for b in range(n):
@@ -391,10 +392,6 @@ def test_table_primitives_match_mul_and_inv(entry):
     for g, img in enumerate(imgs):
         for s, x in ((1, img), (-1, inv[img])):
             assert G.conjugation(g, s) == [mul[mul[inv[x]][b]][x] for b in range(n)]
-    assert centre(G) == tuple(
-        z for z in range(n) if all(mul[z][g] == mul[g][z] for g in range(n))
-    )
-    assert G.is_abelian() == all(mul[a][b] == mul[b][a] for a in imgs for b in imgs)
     for g in range(n):
         k, acc = 1, g
         while acc:
@@ -409,21 +406,25 @@ def test_analysis_never_builds_the_multiplication_table():
     involution_space(profile)
     for img in G.generator_images:
         element_order(G, img)
-    centre(G)
-    G.is_abelian()
     G.evaluate_word(G.source.relators[2])
-    wh1_general(G, CoefficientSystem.z2_trivial())
+    wh1_general(G, CoefficientSystem((2,)))
     wh1_general(G, CoefficientSystem((0,), (((1,),), ((-1,),))))
     assert "mul" not in vars(G)
 
 
-@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="ru_maxrss is in KiB on Linux")
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="VmHWM is read from /proc")
 def test_analyze_order_4000_stays_small():
+    """analyze on dicyclic order 4000 peaks under 100 MiB of RSS.
+
+    The child reports its own VmHWM, which starts afresh at exec; its
+    ru_maxrss would carry over the peak of this pytest process.
+    """
     r = run_python("-c", (
-        "import resource\n"
         "from whdetect import analyze, catalog\n"
         "assert analyze(catalog.dicyclic(1000)).order == 4000\n"
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "for line in open('/proc/self/status'):\n"
+        "    if line.startswith('VmHWM:'):\n"
+        "        print(line.split()[1])\n"
     ))
     assert r.returncode == 0, r.stderr
     assert int(r.stdout) < 100 * 1024

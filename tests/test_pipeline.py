@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -276,6 +277,39 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("whdetect: error: ")
     assert r.stdout == ""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--presentation", "HUGE_POWER"],
+        ["catalog", "--max-order", "20000"],
+        ["steinberg", "eval", "--group", "cyclic_4", "--word", "x(1,100000;a)"],
+        ["analyze", "--seifert=100000000,o1,0,(2:1),(3:1),(5:1)"],
+        ["analyze", "--seifert", "0,o1,100000000"],
+    ],
+    ids=[
+        "power-a^100000000", "catalog-order-20000", "steinberg-dimension-100000",
+        "seifert-b-100000000", "seifert-genus-100000000",
+    ],
+)
+def test_cli_oversized_input_is_refused_before_allocating(argv, tmp_path):
+    """Each input would need gigabytes; within a 512 MiB address space the
+    size check must come first and give the usual one-line error."""
+    huge = tmp_path / "huge.txt"
+    huge.write_text("gens: a; rels: a^100000000")
+    r = run_python(
+        "-c",
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from whdetect.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        *[str(huge) if a == "HUGE_POWER" else a for a in argv],
+    )
+    assert r.returncode == 2 and r.stdout == ""
+    assert len(r.stderr.splitlines()) == 1
+    assert r.stderr.startswith("whdetect: error: ")
 
 
 def test_cli_presentation_sections_on_two_lines_is_one_line_exit_2(tmp_path):

@@ -1,11 +1,14 @@
 """Layout guards: a realized group's coset table and word tree stay inside
 ``coset.py``; every other module uses the methods derived from them.  No
-module imports a name it never uses."""
+module imports a name it never uses, and nothing is defined that only the
+tests use."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "whdetect"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "whdetect"
 
 
 def test_only_coset_reads_table_and_tree():
@@ -48,3 +51,38 @@ def test_no_unused_imports():
         if names
     }
     assert found == {}
+
+
+def referenced_names(node: ast.AST) -> Counter:
+    """How often each name is read, as a variable, an attribute or an import."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            found[n.asname or n.name] += 1
+    return found
+
+
+def test_every_definition_is_used_outside_the_tests():
+    """Each function, class and method of the package (dunders aside) is
+    named somewhere in the package outside its own body, in a demo or in
+    the benchmark: a helper only the tests read belongs in the tests."""
+    trees = {
+        path: ast.parse(path.read_text())
+        for folder in (SRC, ROOT / "demos", ROOT / "perfbench")
+        for path in sorted(folder.rglob("*.py"))
+    }
+    used = sum((referenced_names(tree) for tree in trees.values()), Counter())
+    unused = sorted(
+        f"{path.name}:{node.lineno} {node.name}"
+        for path, tree in trees.items()
+        if path.is_relative_to(SRC)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and used[node.name] == referenced_names(node)[node.name]
+    )
+    assert unused == []

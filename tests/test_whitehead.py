@@ -16,7 +16,6 @@ from whdetect.whitehead import (
     involution_space,
     smith_normal_form,
     wh1_general,
-    wh1_z2_fast,
 )
 
 from conftest import (
@@ -110,16 +109,16 @@ def test_cokernel_invariants():
 
 def test_wh1_general_trivial_group():
     G = group((), ())
-    assert wh1_general(G, CoefficientSystem.z2_trivial()).invariant_factors == ()
+    assert wh1_general(G, CoefficientSystem((2,))).invariant_factors == ()
 
 
 def test_wh1_general_z2():
-    res = wh1_general(cyclic_group(2), CoefficientSystem.z2_trivial())
+    res = wh1_general(cyclic_group(2), CoefficientSystem((2,)))
     assert res.invariant_factors == (2,)
 
 
 def test_wh1_general_z3():
-    res = wh1_general(cyclic_group(3), CoefficientSystem.z2_trivial())
+    res = wh1_general(cyclic_group(3), CoefficientSystem((2,)))
     assert res.invariant_factors == (2, 2)
 
 
@@ -130,13 +129,8 @@ def test_wh1_general_integer_coefficients():
     assert res.invariant_factors == (0, 0)
 
 
-def test_wh1_fast_examples(q8):
-    prof = conjugacy_classes(cyclic_group(3))
-    res = wh1_z2_fast(prof)
-    assert res.invariant_factors == (2, 2)
-    assert res.basis_labels == prof.classes[1:]
-    assert wh1_z2_fast(conjugacy_classes(group((), ()))).invariant_factors == ()
-    assert wh1_z2_fast(conjugacy_classes(q8)).invariant_factors == (2,) * 4
+def test_wh1_general_q8(q8):
+    assert wh1_general(q8, CoefficientSystem((2,))).invariant_factors == (2,) * 4
 
 
 def wh1_dense(G, coeff):
@@ -156,8 +150,8 @@ def wh1_dense(G, coeff):
 
     # the action matrix of every element, along the BFS word tree
     mats = {0: [[int(i == j) for j in range(r)] for i in range(r)]}
-    for b, a, g, s in G.tree:
-        step = actions[g][0 if s > 0 else 1]
+    for b, a, c in G.tree:
+        step = actions[c >> 1][c & 1]  # column 2g is g, column 2g+1 is g^-1
         mats[b] = reduce((np.array(mats[a], dtype=object) @ np.array(step, dtype=object)).tolist())
 
     def unit(k, g):
@@ -251,11 +245,11 @@ def test_wh1_general_matches_dense_oracle_non_diagonal(G, gamma, action):
 
 @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda g: f"order{g.order}")
 def test_oracle_equivalence_fast_vs_general(G):
-    """Two independent routes to Wh1(pi; Z/2) agree on every catalog group."""
+    """Wh1(pi; Z/2) under the trivial action is the free Z/2-space on the
+    nontrivial classes; wh1_general agrees on every catalog group."""
     assert G.order <= 48
-    fast = wh1_z2_fast(conjugacy_classes(G))
-    general = wh1_general(G, CoefficientSystem.z2_trivial())
-    assert fast.invariant_factors == general.invariant_factors
+    classes = conjugacy_classes(G).n_classes
+    assert wh1_general(G, CoefficientSystem((2,))).invariant_factors == (2,) * (classes - 1)
 
 
 # ---------------------------------------------------------------------------
@@ -264,17 +258,19 @@ def test_oracle_equivalence_fast_vs_general(G):
 
 
 def test_involution_space_z3():
-    sp = involution_space(conjugacy_classes(cyclic_group(3)))
+    prof = conjugacy_classes(cyclic_group(3))
+    sp = involution_space(prof)
     assert sp.dim == 2
-    assert sp.bar == (1, 0)
+    assert bar_perm(prof) == (1, 0)
     assert sp.z4_dim == 1
     assert sp.quotient_dim == 1
 
 
 def test_involution_space_q8(q8):
-    sp = involution_space(conjugacy_classes(q8))
+    prof = conjugacy_classes(q8)
+    sp = involution_space(prof)
     assert sp.dim == 4
-    assert sp.bar == (0, 1, 2, 3)
+    assert bar_perm(prof) == (0, 1, 2, 3)
     assert sp.z4_dim == 4
     assert sp.quotient_dim == 0
 
@@ -298,24 +294,30 @@ def test_dimension_laws(G):
 @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda g: f"order{g.order}")
 def test_differential_properties(G):
     prof = conjugacy_classes(G)
-    sp = involution_space(prof)
-    bar = np.zeros((sp.dim, sp.dim), dtype=np.int64)
-    for a, b in enumerate(sp.bar):
+    dim = involution_space(prof).dim
+    bar = np.zeros((dim, dim), dtype=np.int64)
+    for a, b in enumerate(bar_perm(prof)):
         bar[b, a] = 1
-    assert np.array_equal(bar @ bar % 2, np.eye(sp.dim, dtype=np.int64))
-    d4 = differential_matrix(sp, 4)
+    assert np.array_equal(bar @ bar % 2, np.eye(dim, dtype=np.int64))
+    d4 = differential_matrix(prof, 4)
     assert not np.any(d4 @ d4 % 2)  # d4 o d4 = 0 over Z/2
     # image(d4) lies in ker(d4) = Z4
     assert not np.any(d4 @ d4 % 2)
     # odd parity: d_i = id - bar = id + bar over Z/2 as well
-    assert np.array_equal(differential_matrix(sp, 3), d4)
+    assert np.array_equal(differential_matrix(prof, 3), d4)
 
 
-def differential_matrix(sp, i: int = 4) -> np.ndarray:
+def bar_perm(prof) -> tuple[int, ...]:
+    """Class inversion on the basis of nontrivial classes, 0-based."""
+    return tuple(prof.inversion_perm[c + 1] - 1 for c in range(prof.n_classes - 1))
+
+
+def differential_matrix(prof, i: int = 4) -> np.ndarray:
     """Matrix of x -> x - (-1)^i x-bar over Z/2."""
-    d = np.eye(sp.dim, dtype=np.int64)
+    bar = bar_perm(prof)
+    d = np.eye(len(bar), dtype=np.int64)
     sign = -((-1) ** i)
-    for a, b in enumerate(sp.bar):
+    for a, b in enumerate(bar):
         d[b, a] += sign
     return d % 2
 
@@ -344,8 +346,9 @@ def _gf2_rank(mat: np.ndarray) -> int:
 @pytest.mark.parametrize("G", FULL_CATALOG, ids=lambda g: f"order{g.order}")
 def test_ranks_match_gf2_elimination(G):
     """The ranks read off the class-pair count agree with elimination of d4."""
-    sp = involution_space(conjugacy_classes(G))
-    rank = _gf2_rank(differential_matrix(sp, 4))
+    prof = conjugacy_classes(G)
+    sp = involution_space(prof)
+    rank = _gf2_rank(differential_matrix(prof, 4))
     assert sp.quotient_dim == rank
     assert sp.z4_dim == sp.dim - rank
 

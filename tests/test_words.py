@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from whdetect import words
 from whdetect.words import (
     Generator,
     Presentation,
@@ -39,6 +40,17 @@ def test_parse_errors():
         parse_word("z", AB)
     with pytest.raises(WordError):
         parse_word("a^", AB)
+
+
+def test_letter_bound_is_checked_before_expanding(monkeypatch):
+    monkeypatch.setattr(words, "MAX_WORD_LETTERS", 10)
+    assert len(parse_word("a^4 x^-6", AB)) == 10
+    for text in ("a^11", "a^-11", "a^6 x^5", "a " * 11):
+        with pytest.raises(WordError):
+            parse_word(text, AB)
+    assert len(make_presentation(["a"], ["a^6", "a^4"]).relators) == 2
+    with pytest.raises(PresentationError):
+        make_presentation(["a"], ["a^6", "a^5"])
 
 
 def test_free_reduce_examples():
