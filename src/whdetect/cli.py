@@ -41,9 +41,13 @@ def _parse_seifert(text: str) -> SeifertInvariants:
     g = int(parts[2])
     fibers = []
     for p in parts[3:]:
-        p = p.strip("()")
-        a, _, bb = p.partition(":")
-        fibers.append((int(a), int(bb)))
+        a, _, bb = p.strip("()").partition(":")
+        try:
+            fibers.append((int(a), int(bb)))
+        except ValueError:
+            raise ValueError(
+                f"seifert fiber {p!r} is not of the form (alpha:beta)"
+            ) from None
     return SeifertInvariants(b, eps, g, tuple(fibers))
 
 

@@ -103,7 +103,17 @@ def analyze(
     For Seifert inputs with infinite fundamental group the conjugacy fields
     stay unavailable and non-ambivalence is certified (when possible) by
     the central-fiber lemma alone.
+
+    A presentation with fewer relators than generators, or more generally
+    one whose abelianization has positive free rank, defines an infinite
+    group (Johnson, *Presentations of Groups*, 2nd ed., 1997, ch. 2).  Its
+    coset table would never complete, so it gets the budget-exhausted report
+    at once, without enumerating.
+
+    Raises ValueError for a budget below 1, whatever the input kind.
     """
+    if budget < 1:
+        raise ValueError("max_cosets must be >= 1")
     verdict74: Optional[Lemma74Verdict] = None
     finite = True  # False for a Seifert group not known to be finite
     if isinstance(entry, CatalogEntry):
@@ -133,6 +143,11 @@ def analyze(
             **shared,
         )
 
+    if (
+        len(presentation.relators) < presentation.rank
+        or presentation.free_abelian_rank() > 0
+    ):
+        return DetectionReport(verdict="preconditions_unmet", **shared)
     try:
         G = realize_presentation(presentation, budget)
     except EnumerationBudgetExceeded:

@@ -177,6 +177,38 @@ class Presentation:
     def rank(self) -> int:
         return len(self.generators)
 
+    def free_abelian_rank(self) -> int:
+        """Free rank of the abelianization: the rank minus the rank over Q of
+        the exponent-sum matrix (one row per relator).  A value > 0 certifies
+        that the presented group is infinite (Johnson, *Presentations of
+        Groups*, 2nd ed., 1997, ch. 2).
+
+        The matrix rank comes from fraction-free (Bareiss) elimination, whose
+        every division is exact, so it needs integers only.
+        """
+        n = self.rank
+        rows = []
+        for r in self.relators:
+            row = [0] * n
+            for g, s in r.letters:
+                row[g] += s
+            if any(row):
+                rows.append(row)
+        rank, prev = 0, 1
+        for col in range(n):
+            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+            if pivot is None:
+                continue
+            rows[rank], rows[pivot] = rows[pivot], rows[rank]
+            top = rows[rank]
+            p = top[col]
+            for i in range(rank + 1, len(rows)):
+                f = rows[i][col]
+                rows[i] = [(p * x - f * t) // prev for x, t in zip(rows[i], top)]
+            prev = p
+            rank += 1
+        return n - rank
+
     def display(self) -> str:
         gens = ", ".join(g.name for g in self.generators)
         rels = ", ".join(r.display(self.generators) for r in self.relators)

@@ -354,6 +354,16 @@ def test_skip_matches_plain_hlt(p, budget):
     assert outcome(enumerate_cosets, p, budget) == outcome(hlt_plain, p, budget)
 
 
+@settings(max_examples=300, deadline=None)
+@given(p=power_presentations())
+def test_positive_free_abelian_rank_never_completes(p):
+    """Soundness of the certificate ``analyze`` trusts: a presentation whose
+    abelianization has positive free rank defines an infinite group."""
+    if p.free_abelian_rank() > 0:
+        with pytest.raises(EnumerationBudgetExceeded):
+            enumerate_cosets(p, 2_000)
+
+
 def test_enumeration_deterministic():
     p = make_presentation(["a", "x"], ["a^6", "x^2 a^-3", "x^-1 a x a"])
     assert enumerate_cosets(p, 1000) == enumerate_cosets(p, 1000)

@@ -15,6 +15,7 @@ from whdetect.catalog import (
 from whdetect.cli import main
 from whdetect.pipeline import (
     SCHEMA_VERSION,
+    DetectionReport,
     analyze,
     reproduce_table_73,
 )
@@ -170,6 +171,51 @@ def test_cli_nonorientable_seifert_never_enumerates(datum, capsys, monkeypatch):
     assert report["verdict"] == "preconditions_unmet"
 
 
+INFINITE_ABELIANIZATION = {
+    "Z": (["a"], []),
+    "Z^2": (["a", "b"], ["a b A B"]),
+    "Z*Z/2": (["a", "b"], ["a^2"]),
+    "Z^3": (["a", "b", "c"], ["a b A B", "b c B C", "a c A C"]),
+    "deficiency-0": (["a", "b"], ["a b A B", "a b A B " * 3]),
+}
+
+
+@pytest.mark.parametrize(
+    "gens, rels", INFINITE_ABELIANIZATION.values(), ids=list(INFINITE_ABELIANIZATION)
+)
+def test_infinite_abelianization_never_enumerates(gens, rels, monkeypatch):
+    """Free abelian rank > 0 certifies an infinite group, whose coset table
+    never completes: ``analyze`` gives the budget-exhausted report without
+    spending the budget."""
+    p = make_presentation(gens, rels)
+    with pytest.raises(coset.EnumerationBudgetExceeded):
+        coset.enumerate_cosets(p, 2_000)
+    calls = []
+    monkeypatch.setattr(coset, "enumerate_cosets", lambda *args: calls.append(args))
+    report = analyze(p, budget=2_000)
+    assert calls == []
+    assert report == DetectionReport(
+        name="presentation", verdict="preconditions_unmet", k1_trivial=None, goodness="unknown"
+    )
+
+
+def test_finite_abelianization_infinite_group_spends_the_budget(monkeypatch):
+    """The (2,3,7) triangle group is infinite with trivial abelianization: no
+    certificate applies, so one enumeration runs to the budget."""
+    p = make_presentation(["a", "b"], ["a^2", "b^3", "a b " * 7])
+    assert p.free_abelian_rank() == 0
+    enumerate_cosets, calls = coset.enumerate_cosets, []
+
+    def counted(*args):
+        calls.append(args)
+        return enumerate_cosets(*args)
+
+    monkeypatch.setattr(coset, "enumerate_cosets", counted)
+    report = analyze(p, budget=2_000)
+    assert len(calls) == 1
+    assert report.verdict == "preconditions_unmet" and report.order is None
+
+
 def test_cli_analyze_presentation_file(tmp_path, capsys):
     f = tmp_path / "q8.txt"
     f.write_text("gens: a, x; rels: a^4, x^2 a^-2, x^-1 a x a")
@@ -262,12 +308,18 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         ["wh1", "--preset", "cyclic_4", "--gamma=2,-3"],
         ["wh1", "--preset", "cyclic_4", "--gamma="],
         ["analyze", "--presentation", "tests/data/repeated_rels.txt"],
+        ["analyze", "--seifert", "0,o1,1", "--budget", "0"],
+        ["analyze", "--seifert", "0,o1,1", "--budget", "-3"],
+        ["analyze", "--presentation", "tests/data/z2.txt", "--budget", "0"],
+        ["analyze", "--seifert=0,o1,0,(2)"],
+        ["analyze", "--seifert=0,o1,0,(2:1:3)"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
         "budget-exhausted", "missing-presentation-file", "non-canonical-preset",
         "seifert-genus-too-small", "negative-gamma-factor", "empty-gamma",
-        "repeated-section",
+        "repeated-section", "seifert-budget-0", "seifert-budget-negative",
+        "z2-budget-0", "seifert-fiber-without-beta", "seifert-fiber-with-three-parts",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
@@ -277,6 +329,13 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert len(r.stderr.splitlines()) == 1
     assert r.stderr.startswith("whdetect: error: ")
     assert r.stdout == ""
+
+
+@pytest.mark.parametrize("fiber", ["(2)", "(2:1:3)"])
+def test_cli_malformed_seifert_fiber_names_it(fiber, capsys):
+    assert main(["analyze", f"--seifert=0,o1,0,{fiber}"]) == 2
+    err = capsys.readouterr().err
+    assert fiber in err and "(alpha:beta)" in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")

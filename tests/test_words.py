@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from whdetect import words
 from whdetect.words import (
@@ -13,6 +13,7 @@ from whdetect.words import (
     parse_presentation,
     parse_word,
 )
+from whdetect.whitehead import cokernel_invariants
 
 AB = (Generator(0, "a"), Generator(1, "x"))
 
@@ -153,3 +154,17 @@ def test_repeated_section_is_rejected(text):
 def test_presentation_display_roundtrip():
     p = make_presentation(["a", "x"], ["a^4", "x^-1 a x a"])
     assert parse_presentation(p.display()).relators == p.relators
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 4), data=st.data())
+def test_free_abelian_rank_matches_smith_normal_form(n, data):
+    """The fraction-free rank agrees with the count of infinite cyclic
+    invariant factors of Z^n / row-span(M), which the Smith normal form gives."""
+    M = data.draw(st.lists(st.lists(st.integers(-6, 6), min_size=n, max_size=n), max_size=6))
+    gens = tuple(Generator(i, f"g{i}") for i in range(n))
+    rels = tuple(
+        Word(tuple((g, 1 if e > 0 else -1) for g, e in enumerate(row) for _ in range(abs(e))))
+        for row in M
+    )
+    assert Presentation(gens, rels).free_abelian_rank() == cokernel_invariants(M, n).count(0)
