@@ -31,14 +31,33 @@ from .whitehead import CoefficientSystem, wh1_general
 from .words import parse_presentation
 
 
+_SEIFERT_FORM = "b,eps,g,(alpha:beta),..."
+
+
+def _seifert_int(field: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ValueError(
+            f"seifert {field} {value!r} is not an integer, in the datum {_SEIFERT_FORM}"
+        ) from None
+
+
 def _parse_seifert(text: str) -> SeifertInvariants:
     """Parse ``b,eps,g,(a1:b1),(a2:b2),...`` e.g. ``0,o1,1`` for the 3-torus."""
     parts = [p.strip() for p in text.split(",") if p.strip()]
     if len(parts) < 3:
         raise ValueError("seifert datum needs at least b,eps,g")
-    b = int(parts[0])
-    eps = Epsilon(parts[1])
-    g = int(parts[2])
+    b = _seifert_int("b", parts[0])
+    try:
+        eps = Epsilon(parts[1])
+    except ValueError:
+        types = ", ".join(e.value for e in Epsilon)
+        raise ValueError(
+            f"seifert base type eps {parts[1]!r} is not one of {types},"
+            f" in the datum {_SEIFERT_FORM}"
+        ) from None
+    g = _seifert_int("genus g", parts[2])
     fibers = []
     for p in parts[3:]:
         a, _, bb = p.strip("()").partition(":")

@@ -5,12 +5,13 @@ union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
 The working table is stored column-major: one list per generator and one per
-inverse, indexed by coset, with -1 for an undefined entry.  A new coset
-appends one entry to each column, and each relator is resolved once into the
-column lists it reads forward and the inverse-column lists it reads
-backward, so scanning a letter is one subscript on a list.  The layout does
-not reach the result: entries are defined, deduced and merged in HLT order
-whatever the storage, and the rows are read off the columns at the end.
+inverse, indexed by coset, with -1 for an undefined entry.  The columns grow
+in blocks that double and never pass the budget, and each relator is
+resolved once into the column lists it reads forward and the inverse-column
+lists it reads backward, so scanning a letter is one subscript on a list.
+The layout does not reach the result: entries are defined, deduced and
+merged in HLT order whatever the storage, and the rows are read off the
+columns at the end.
 
 A relator that is a proper power w^k (k >= 2) is scanned once per w-cycle
 instead of once per coset: after its scan at a live coset alpha, the whole
@@ -20,6 +21,17 @@ own scan of the relator is skipped (Havas and Ramsay, Coset enumeration: ACE,
 to one between representatives, so a marked live coset's trace stays closed
 and the skipped scan would have defined, deduced and merged nothing: the
 definition sequence, the budget count and the rows are those of plain HLT.
+
+The same invariant lets a scan cross a long run of one letter in one step.
+When a generator g has a power relator g^N and a run g^k or g^-k, k >= 4, in
+another relator, each g-cycle that marking walks is indexed: every coset on
+it records the cycle and its place.  From a live coset recorded at place i
+on a cycle of length L, g^k leads to the representative of the coset at
+place (i + k) mod L, which is where the letter walk would arrive, meeting
+only defined entries on the way (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, sec. 5.1).  So the jump changes nothing
+either, and a presentation such as the dicyclic x^2 a^-l is enumerated in
+time linear in the order instead of quadratic.
 
 The completed table is itself the finite group: elements are the cosets,
 with the identity at index 0, and the table is the right regular action of
@@ -42,6 +54,14 @@ from typing import Sequence
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 200_000
+
+# the shortest run g^k of one letter that a scan crosses in one step when g
+# has a power relator (see enumerate_cosets); shorter runs are read letter by
+# letter
+MIN_JUMP_SYLLABLE = 4
+
+# the slots each per-coset array starts with: a small group never grows them
+_FIRST_BLOCK = 64
 
 
 class EnumerationBudgetExceeded(RuntimeError):
@@ -66,23 +86,61 @@ def _proper_period(cols: Sequence[int]) -> int:
     return 0
 
 
+def _long_runs(cols: Sequence[int]) -> list[tuple[int, int]]:
+    """The maximal runs cols[start:end] of one letter repeated at least
+    ``MIN_JUMP_SYLLABLE`` times, in order."""
+    runs, start, n = [], 0, len(cols)
+    for i in range(1, n + 1):
+        if i == n or cols[i] != cols[start]:
+            if i - start >= MIN_JUMP_SYLLABLE:
+                runs.append((start, i))
+            start = i
+    return runs
+
+
 class _Enumerator:
     """Mutable HLT enumeration state, with the table stored by columns.
 
     ``cols[c][a]`` is the coset a.c, or -1 while undefined, where column 2g
-    is the generator g and column 2g+1 its inverse.  The column lists are
-    only ever grown and written in place, never replaced, so a relator
-    resolved once into the lists it reads (see :meth:`scan_and_fill`) stays
-    valid for the whole enumeration.  Definitions, deductions and
-    coincidences touch the same entries in the same order as they would on a
-    table of one list per coset, so :meth:`rows` gives the same rows.
+    is the generator g and column 2g+1 its inverse.  The columns and every
+    other per-coset array (see :meth:`per_coset`) hold ``size`` slots and
+    grow together, doubling and never past the budget; a slot beyond the
+    last coset is undefined.  They are only ever grown and written in place,
+    never replaced, so a relator resolved once into the lists it reads (see
+    :meth:`scan_and_fill`) stays valid for the whole enumeration.
+    Definitions, deductions and coincidences touch the same entries in the
+    same order as they would on a table of one list per coset, so
+    :meth:`rows` gives the same rows.
     """
 
     def __init__(self, n_generators: int, max_cosets: int):
-        self.cols: list[list[int]] = [[-1] for _ in range(2 * n_generators)]
+        self.size = min(max_cosets, _FIRST_BLOCK)
+        self.cols: list[list[int]] = [
+            [-1] * self.size for _ in range(2 * n_generators)
+        ]
         self.max_cosets = max_cosets
         self.parent: list[int] = [0]
         self.queue: list[int] = []
+        self.extras: list[tuple[list | bytearray, list | bytearray]] = []
+
+    def per_coset(self, fill: list | bytearray) -> list | bytearray:
+        """A new array of one slot per coset, grown with the columns.
+
+        ``fill`` holds the one value of a new slot: ``bytearray(1)`` for
+        marks, ``[None]`` or ``[0]`` for a list.
+        """
+        array = fill * self.size
+        self.extras.append((array, fill))
+        return array
+
+    def _grow(self) -> None:
+        add = min(self.size, self.max_cosets - self.size)
+        block = [-1] * add
+        for col in self.cols:
+            col += block
+        for array, fill in self.extras:
+            array += fill * add
+        self.size += add
 
     def rep(self, a: int) -> int:
         root = a
@@ -99,9 +157,9 @@ class _Enumerator:
             raise EnumerationBudgetExceeded(
                 f"coset budget {self.max_cosets} exhausted"
             )
+        if b == self.size:
+            self._grow()
         self.parent.append(b)
-        for c in self.cols:
-            c.append(-1)
         col[a] = b
         inv_col[b] = a
         return b
@@ -180,15 +238,84 @@ class _Enumerator:
             f = self.define(f, forward[i], backward[i])
             i += 1
 
+    def scan_jumping(self, alpha: int, relator: tuple) -> None:
+        """:meth:`scan_and_fill` for a relator with a run to jump.
+
+        ``relator`` is ``(forward, backward, jumps)``, where ``jumps[i]`` is
+        None, or ``(start, end, cycle_of, position, sign)`` when letter i
+        lies in a run relator[start:end] of the letter g^sign whose
+        generator's cycles are indexed (see :meth:`index_cycle`).  At a
+        coset on an indexed cycle the scan crosses what it has left of the
+        run in one step, to the representative of the coset that many places
+        along the cycle.  That is where reading the run letter by letter
+        would lead, and since the cycle is closed every letter on the way
+        is defined, so the walk would have defined, deduced and merged
+        nothing.  Elsewhere the scan reads one letter at a time, as
+        :meth:`scan_and_fill` does.
+        """
+        forward, backward, jumps = relator
+        parent = self.parent
+        f, b = alpha, alpha
+        i, j = 0, len(forward) - 1
+        while True:
+            while i <= j:
+                run = jumps[i]
+                if run is not None:
+                    _, end, cycle_of, position, sign = run
+                    cycle = cycle_of[f]
+                    if cycle is not None:
+                        if end > j:
+                            end = j + 1
+                        f = cycle[(position[f] + sign * (end - i)) % len(cycle)]
+                        if parent[f] != f:
+                            f = self.rep(f)
+                        i = end
+                        continue
+                nxt = forward[i][f]
+                if nxt < 0:
+                    break
+                f = nxt
+                i += 1
+            if i > j:
+                if f != b:
+                    self.coincidence(f, b)
+                return
+            while j >= i:
+                run = jumps[j]
+                if run is not None:
+                    start, _, cycle_of, position, sign = run
+                    cycle = cycle_of[b]
+                    if cycle is not None:
+                        if start < i:
+                            start = i
+                        b = cycle[(position[b] - sign * (j + 1 - start)) % len(cycle)]
+                        if parent[b] != b:
+                            b = self.rep(b)
+                        j = start - 1
+                        continue
+                prev = backward[j][b]
+                if prev < 0:
+                    break
+                b = prev
+                j -= 1
+            if j < i:
+                self.coincidence(f, b)
+                return
+            if j == i:
+                # deduction closing the scan
+                forward[i][f] = b
+                backward[i][b] = f
+                return
+            f = self.define(f, forward[i], backward[i])
+            i += 1
+
     def mark_cycle(
         self, alpha: int, period: list[list[int]], marks: bytearray
     ) -> None:
         """Mark alpha.w^i for every i, once alpha's scan of w^k has closed.
 
-        ``period`` holds the column lists of w; ``marks`` is grown here to
-        one byte per coset defined so far.
+        ``period`` holds the column lists of w.
         """
-        marks.extend(bytes(len(self.parent) - len(marks)))
         beta = alpha
         while True:
             marks[beta] = 1
@@ -197,13 +324,43 @@ class _Enumerator:
             if beta == alpha:
                 return
 
+    def index_cycle(
+        self, alpha: int, marks: bytearray, col: list[int],
+        cycle_of: list, position: list[int],
+    ) -> None:
+        """Mark alpha's g-cycle and record each coset's place on it, once
+        alpha's scan of a power of g has closed.
+
+        ``col`` is the column of g.  The cycle is the list alpha.g^k for
+        k = 0, 1, ..., and ``cycle_of[beta]``, ``position[beta]`` say where
+        beta stands on it.  The cycle stays closed through later definitions
+        and coincidences, which map each edge to one between
+        representatives, so from a live beta recorded at position k, beta.g^m
+        is the representative of ``cycle[(k + m) % len(cycle)]`` for every m.
+        """
+        cycle = [alpha]
+        beta = col[alpha]
+        while beta != alpha:
+            cycle.append(beta)
+            beta = col[beta]
+        for k, beta in enumerate(cycle):
+            marks[beta] = 1
+            cycle_of[beta] = cycle
+            position[beta] = k
+
     def rows(self) -> tuple[tuple[int, ...], ...]:
-        """The completed table, live cosets renumbered in increasing order."""
+        """The completed table, live cosets renumbered in increasing order.
+
+        Called once, at the end: it trims the columns to the cosets defined.
+        """
+        n = len(self.parent)
         cols = self.cols
+        for col in cols:
+            del col[n:]
         live = [a for a, root in enumerate(self.parent) if a == root]
-        if len(live) < len(self.parent):
+        if len(live) < n:
             # drop the cosets a coincidence killed and renumber the rest
-            index = [-1] * len(self.parent)
+            index = [-1] * n
             for new, old in enumerate(live):
                 index[old] = new
             cols = [
@@ -226,12 +383,18 @@ def enumerate_cosets(
     a.g^-1, so the number of rows is the group order.
 
     Cosets are defined in HLT order.  A proper-power relator w^k is not
-    rescanned at a coset its w-cycle already closed; such a scan would change
-    nothing, so the definitions, the budget count and the rows equal those of
-    scanning every relator at every live coset.  The working table is kept
-    by columns (one list per generator and per inverse) and each relator is
-    resolved once into the lists it reads; the rows are read off the columns
-    at the end, so they are the same as from a table kept by rows.
+    rescanned at a coset its w-cycle already closed.  When a generator g
+    has a power relator g^N and also a run g^k or g^-k, k >=
+    ``MIN_JUMP_SYLLABLE``, in another relator, every g-cycle that such a
+    power closes is indexed, and a scan crosses the run from a coset on an
+    indexed cycle in one step.  A skipped scan or a jumped run would define,
+    deduce and merge nothing, so the definitions, the budget count and the
+    rows equal those of scanning every relator letter by letter at every
+    coset: ``dicyclic(ell)`` costs O(ell) instead of O(ell^2).  The working
+    table is kept by columns (one list per generator and per inverse) and
+    each relator is resolved once into the lists it reads; the rows are read
+    off the columns at the end, so they are the same as from a table kept
+    by rows.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite).
@@ -240,26 +403,55 @@ def enumerate_cosets(
         raise ValueError("max_cosets must be >= 1")
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
+    words = [[_col(letter) for letter in r.letters] for r in p.relators]
+    periods = [_proper_period(letters) for letters in words]
+    powered = {
+        letters[0] >> 1 for letters, period in zip(words, periods) if period == 1
+    }
+    # per generator with a power g^N and a long run in another relator, and
+    # per coset, its g-cycle and its place on that cycle
+    index: dict[int, tuple[list, list[int]]] = {}
+    for letters, period in zip(words, periods):
+        for start, _ in _long_runs(letters) if powered and period != 1 else ():
+            g = letters[start] >> 1
+            if g in powered and g not in index:
+                index[g] = (st.per_coset([None]), st.per_coset([0]))
     relators = []
-    for r in p.relators:
-        letters = [_col(letter) for letter in r.letters]
+    for letters, period in zip(words, periods):
         forward = [cols[c] for c in letters]
         backward = [cols[c ^ 1] for c in letters]
-        period = _proper_period(letters)
-        marks = bytearray() if period else None
-        relators.append(((forward, backward), forward[:period], marks))
+        jumps = None
+        for start, end in _long_runs(letters) if index and period != 1 else ():
+            c = letters[start]
+            if c >> 1 in index:
+                if jumps is None:
+                    jumps = [None] * len(letters)
+                run = (start, end, *index[c >> 1], -1 if c & 1 else 1)
+                jumps[start:end] = [run] * (end - start)
+        if jumps is None:
+            scan, relator = st.scan_and_fill, (forward, backward)
+        else:
+            scan, relator = st.scan_jumping, (forward, backward, jumps)
+        marks = st.per_coset(bytearray(1)) if period else None
+        cycle_index = None
+        if period == 1 and letters[0] >> 1 in index:
+            g = letters[0] >> 1
+            cycle_index = (cols[2 * g], *index[g])
+        relators.append((scan, relator, forward[:period], marks, cycle_index))
     alpha = 0
     while alpha < len(parent):
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for relator, period, marks in relators:
-            if marks is not None and alpha < len(marks) and marks[alpha]:
+        for scan, relator, period, marks, cycle_index in relators:
+            if marks is not None and marks[alpha]:
                 continue  # alpha.r = alpha is already traced in full
-            st.scan_and_fill(alpha, relator)
+            scan(alpha, relator)
             if parent[alpha] != alpha:
                 break
-            if marks is not None:
+            if cycle_index is not None:
+                st.index_cycle(alpha, marks, *cycle_index)
+            elif marks is not None:
                 st.mark_cycle(alpha, period, marks)
         if parent[alpha] == alpha:
             for c, col in enumerate(cols):

@@ -315,17 +315,66 @@ def test_lagrange_on_binary_octahedral():
         assert G.order % element_order(G, g) == 0
 
 
-def test_power_relator_scanned_once_per_cycle(monkeypatch):
+def _count_scans(monkeypatch):
+    """Wrap both scan methods; returns the list of (method, relator) scans."""
     calls = []
-    scan = _Enumerator.scan_and_fill
+    for name in ("scan_and_fill", "scan_jumping"):
+        def counted(self, alpha, relator, _name=name, _scan=getattr(_Enumerator, name)):
+            calls.append((_name, id(relator[0])))
+            return _scan(self, alpha, relator)
 
-    def counted(self, alpha, relator_cols):
-        calls.append(alpha)
-        return scan(self, alpha, relator_cols)
+        monkeypatch.setattr(_Enumerator, name, counted)
+    return calls
 
-    monkeypatch.setattr(_Enumerator, "scan_and_fill", counted)
+
+def test_power_relator_scanned_once_per_cycle(monkeypatch):
+    calls = _count_scans(monkeypatch)
     assert len(enumerate_cosets(cyclic(2000), 5000)) == 2000
     assert len(calls) <= 2
+
+
+def test_every_scan_goes_through_a_scan_method(monkeypatch):
+    """The dicyclic relators are scanned through the two patched methods:
+    x^2 a^-ell by the jumping scan, the others letter by letter."""
+    calls = _count_scans(monkeypatch)
+    assert len(enumerate_cosets(dicyclic(50))) == 200
+    kinds = {}
+    for name, relator in calls:
+        kinds.setdefault(relator, set()).add(name)
+    assert sorted(map(sorted, kinds.values())) == [
+        ["scan_and_fill"], ["scan_and_fill"], ["scan_jumping"]
+    ]
+    assert len(calls) > 200  # x^2 a^-ell and x^-1 a x a at every live coset
+
+
+def _column_reads(monkeypatch, p):
+    """Subscript reads of the working table's columns while p is enumerated."""
+    reads = 0
+
+    class CountingColumn(list):
+        def __getitem__(self, index):
+            nonlocal reads
+            reads += 1
+            return list.__getitem__(self, index)
+
+    init = _Enumerator.__init__
+
+    def counting_init(self, *args):
+        init(self, *args)
+        self.cols = [CountingColumn(col) for col in self.cols]
+
+    monkeypatch.setattr(_Enumerator, "__init__", counting_init)
+    enumerate_cosets(p)
+    return reads
+
+
+def test_dicyclic_enumeration_reads_linearly(monkeypatch):
+    """Four times the order costs about four times the column reads (14,000
+    at order 1,000), where scanning a^-ell letter by letter costs about
+    sixteen times (264,000 at order 1,000)."""
+    small = _column_reads(monkeypatch, dicyclic(250))
+    large = _column_reads(monkeypatch, dicyclic(1000))
+    assert large / small < 6
 
 
 def test_skip_matches_plain_hlt_on_catalog():
@@ -352,6 +401,53 @@ def power_presentations(draw):
 @given(p=power_presentations(), budget=st.integers(1, 3000))
 def test_skip_matches_plain_hlt(p, budget):
     assert outcome(enumerate_cosets, p, budget) == outcome(hlt_plain, p, budget)
+
+
+@st.composite
+def syllable_presentations(draw):
+    """1-3 generators with 1-3 single-letter powers g^N, and 1-3 relators of
+    runs g^k, so that runs of 4 letters or more are crossed along indexed
+    cycles; a generator drawn for two powers has its cycles fold."""
+    rank = draw(st.integers(1, 3))
+    gen = st.integers(0, rank - 1)
+    sign = st.sampled_from((1, -1))
+    relators = [
+        Word(((g, draw(sign)),) * draw(st.integers(2, 40)))
+        for g in draw(st.lists(gen, min_size=1, max_size=3))
+    ]
+    for _ in range(draw(st.integers(1, 3))):
+        runs = draw(
+            st.lists(st.tuples(gen, sign, st.integers(1, 25)), min_size=1, max_size=4)
+        )
+        relators.append(Word(tuple((g, s) for g, s, k in runs for _ in range(k))))
+    gens = tuple(Generator(i, f"g{i}") for i in range(rank))
+    return Presentation(gens, tuple(r for r in relators if r))
+
+
+@settings(max_examples=400, deadline=None)
+@given(p=syllable_presentations(), budget=st.integers(1, 3000))
+def test_jumps_match_plain_hlt(p, budget):
+    assert outcome(enumerate_cosets, p, budget) == outcome(hlt_plain, p, budget)
+
+
+FOLDING = ["a^27", "a^18", "b^-1 a^-6 b a", "b^3"]
+
+
+@pytest.mark.parametrize(
+    "relators, budget",
+    [(FOLDING, 2721), (FOLDING, 150), (FOLDING, 200_000),
+     (["b^3", "b a^3", "b^4 a^3 b^4"], 200_000)],
+    ids=["folding-2721", "folding-150", "folding", "b-cycle-merged"],
+)
+def test_jump_lands_on_a_live_coset(relators, budget):
+    """Both groups have order 3, and a jump along a cycle indexed before a
+    coincidence merged cosets on it can land on a dead coset.  A jump that
+    skipped ``rep`` on its target exhausts the budget 150 on the first
+    group and enumerates order 7 on the second."""
+    p = make_presentation(["a", "b"], relators)
+    assert outcome(enumerate_cosets, p, budget) == outcome(hlt_plain, p, budget)
+    if budget == 200_000:
+        assert len(enumerate_cosets(p, budget)) == 3
 
 
 @settings(max_examples=300, deadline=None)

@@ -313,6 +313,8 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         ["analyze", "--presentation", "tests/data/z2.txt", "--budget", "0"],
         ["analyze", "--seifert=0,o1,0,(2)"],
         ["analyze", "--seifert=0,o1,0,(2:1:3)"],
+        ["analyze", "--seifert=x,o1,1"],
+        ["analyze", "--seifert=0,o1,1.5"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
@@ -320,6 +322,7 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         "seifert-genus-too-small", "negative-gamma-factor", "empty-gamma",
         "repeated-section", "seifert-budget-0", "seifert-budget-negative",
         "z2-budget-0", "seifert-fiber-without-beta", "seifert-fiber-with-three-parts",
+        "seifert-b-not-an-integer", "seifert-genus-not-an-integer",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
@@ -336,6 +339,22 @@ def test_cli_malformed_seifert_fiber_names_it(fiber, capsys):
     assert main(["analyze", f"--seifert=0,o1,0,{fiber}"]) == 2
     err = capsys.readouterr().err
     assert fiber in err and "(alpha:beta)" in err
+
+
+@pytest.mark.parametrize(
+    "datum, named",
+    [
+        ("x,o1,1", ["seifert b 'x' is not an integer"]),
+        ("0,o1,1.5", ["seifert genus g '1.5' is not an integer"]),
+        ("0,zz,1", ["seifert base type eps 'zz'", "o1, o2, n1, n2, n3, n4"]),
+    ],
+)
+def test_cli_malformed_seifert_field_names_it(datum, named, capsys):
+    assert main(["analyze", f"--seifert={datum}"]) == 2
+    err = capsys.readouterr().err
+    for text in named + ["b,eps,g,(alpha:beta),..."]:
+        assert text in err
+    assert "invalid literal" not in err and "not a valid Epsilon" not in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")
