@@ -225,9 +225,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except KeyError as exc:  # unknown preset name
         print(f"whdetect: error: {exc.args[0]}", file=sys.stderr)
-    except ValueError as exc:  # malformed datum, factor list, word or action
-        print(f"whdetect: error: {exc}", file=sys.stderr)
-    except (EnumerationBudgetExceeded, OSError) as exc:  # budget too small, unreadable file
+    except (ValueError, EnumerationBudgetExceeded, OSError) as exc:
+        # a malformed datum, factor list, word or action, a budget too
+        # small, or an unreadable file
         print(f"whdetect: error: {exc}", file=sys.stderr)
     return 2
 

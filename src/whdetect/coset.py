@@ -5,33 +5,26 @@ union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
 The working table is stored column-major: one list per generator and one per
-inverse, indexed by coset, with -1 for an undefined entry.  The columns grow
-in blocks that double and never pass the budget, and each relator is
-resolved once into the column lists it reads forward and the inverse-column
-lists it reads backward, so scanning a letter is one subscript on a list.
-The layout does not reach the result: entries are defined, deduced and
-merged in HLT order whatever the storage, and the rows are read off the
-columns at the end.
+inverse, indexed by coset, with -1 for an undefined entry.  Each relator is
+resolved once into the column lists it reads, so scanning a letter is one
+subscript on a list, and the rows are read off the columns at the end.
 
-A relator that is a proper power w^k (k >= 2) is scanned once per w-cycle
-instead of once per coset: after its scan at a live coset alpha, the whole
-trace alpha.w^k = alpha is defined, so every coset alpha.w^i is marked and its
-own scan of the relator is skipped (Havas and Ramsay, Coset enumeration: ACE,
-2001).  Definitions only add edges and coincidence processing maps each edge
-to one between representatives, so a marked live coset's trace stays closed
-and the skipped scan would have defined, deduced and merged nothing: the
-definition sequence, the budget count and the rows are those of plain HLT.
-
-The same invariant lets a scan cross a long run of one letter in one step.
-When a generator g has a power relator g^N and a run g^k or g^-k, k >= 4, in
-another relator, each g-cycle that marking walks is indexed: every coset on
-it records the cycle and its place.  From a live coset recorded at place i
-on a cycle of length L, g^k leads to the representative of the coset at
-place (i + k) mod L, which is where the letter walk would arrive, meeting
-only defined entries on the way (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, sec. 5.1).  So the jump changes nothing
-either, and a presentation such as the dicyclic x^2 a^-l is enumerated in
-time linear in the order instead of quadratic.
+Two shortcuts rest on one invariant: definitions only add edges and
+coincidence processing maps each edge to one between representatives, so a
+closed trace stays closed.  A relator that is a proper power w^k (k >= 2) is
+scanned once per w-cycle instead of once per coset: once its scan at a live
+coset alpha has closed, one walk round the cycle marks every alpha.w^i, and
+the relator is not scanned again at a marked coset (Havas and Ramsay, Coset
+enumeration: ACE, 2001).  When w is a single generator g that also has a run
+g^k or g^-k, k >= 4, in another relator, the same walk records each coset's
+place on its g-cycle, and a scan crosses the run in one step: from a live
+coset at place i on a cycle of length L, g^k leads to the representative of
+the coset at place (i + k) mod L (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, sec. 5.1).  A skipped scan or a crossed
+run would have defined, deduced and merged nothing, so the definitions, the
+budget count and the rows are those of plain HLT, and a presentation such as
+the dicyclic x^2 a^-l is enumerated in time linear in the order instead of
+quadratic.
 
 The completed table is itself the finite group: elements are the cosets,
 with the identity at index 0, and the table is the right regular action of
@@ -107,7 +100,7 @@ class _Enumerator:
     grow together, doubling and never past the budget; a slot beyond the
     last coset is undefined.  They are only ever grown and written in place,
     never replaced, so a relator resolved once into the lists it reads (see
-    :meth:`scan_and_fill`) stays valid for the whole enumeration.
+    :meth:`scan`) stays valid for the whole enumeration.
     Definitions, deductions and coincidences touch the same entries in the
     same order as they would on a table of one list per coset, so
     :meth:`rows` gives the same rows.
@@ -198,79 +191,38 @@ class _Enumerator:
                         col[mu] = d
                         inv_col[d] = mu
 
-    def scan_and_fill(
-        self, alpha: int, relator: tuple[list[list[int]], list[list[int]]]
-    ) -> None:
+    def scan(self, alpha: int, relator: tuple) -> None:
         """Scan a relator at coset alpha, defining cosets as needed.
 
-        ``relator`` is ``(forward, backward)``: for each letter x in turn,
-        the column list of x and that of x^-1, so reading a letter in either
-        direction is one subscript.
-        """
-        forward, backward = relator
-        f, b = alpha, alpha
-        i, j = 0, len(forward) - 1
-        while True:
-            while i <= j:
-                nxt = forward[i][f]
-                if nxt < 0:
-                    break
-                f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i:
-                prev = backward[j][b]
-                if prev < 0:
-                    break
-                b = prev
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                # deduction closing the scan
-                forward[i][f] = b
-                backward[i][b] = f
-                return
-            f = self.define(f, forward[i], backward[i])
-            i += 1
-
-    def scan_jumping(self, alpha: int, relator: tuple) -> None:
-        """:meth:`scan_and_fill` for a relator with a run to jump.
-
-        ``relator`` is ``(forward, backward, jumps)``, where ``jumps[i]`` is
-        None, or ``(start, end, cycle_of, position, sign)`` when letter i
-        lies in a run relator[start:end] of the letter g^sign whose
-        generator's cycles are indexed (see :meth:`index_cycle`).  At a
-        coset on an indexed cycle the scan crosses what it has left of the
-        run in one step, to the representative of the coset that many places
-        along the cycle.  That is where reading the run letter by letter
-        would lead, and since the cycle is closed every letter on the way
-        is defined, so the walk would have defined, deduced and merged
-        nothing.  Elsewhere the scan reads one letter at a time, as
-        :meth:`scan_and_fill` does.
+        ``relator`` is ``(forward, backward, jumps)``.  ``forward`` and
+        ``backward`` hold, for each letter x in turn, the column list of x
+        and that of x^-1, so reading a letter in either direction is one
+        subscript.  ``jumps`` is None for a relator with no run to cross;
+        otherwise ``jumps[i]`` is None, or ``(start, end, cycle_of,
+        position, sign)`` when letter i lies in a run relator[start:end] of
+        the letter g^sign whose cycles :meth:`mark_cycle` records.  At a coset
+        on a recorded cycle the scan crosses what it has left of the run in
+        one step, to the representative of the coset that many places along
+        the cycle, which is where reading letter by letter would lead.
         """
         forward, backward, jumps = relator
-        parent = self.parent
         f, b = alpha, alpha
         i, j = 0, len(forward) - 1
         while True:
             while i <= j:
-                run = jumps[i]
-                if run is not None:
-                    _, end, cycle_of, position, sign = run
-                    cycle = cycle_of[f]
-                    if cycle is not None:
-                        if end > j:
-                            end = j + 1
-                        f = cycle[(position[f] + sign * (end - i)) % len(cycle)]
-                        if parent[f] != f:
-                            f = self.rep(f)
-                        i = end
-                        continue
+                if jumps is not None:
+                    run = jumps[i]
+                    if run is not None:
+                        _, end, cycle_of, position, sign = run
+                        cycle = cycle_of[f]
+                        if cycle is not None:
+                            if end > j:
+                                end = j + 1
+                            f = cycle[(position[f] + sign * (end - i)) % len(cycle)]
+                            if self.parent[f] != f:
+                                f = self.rep(f)
+                            i = end
+                            continue
                 nxt = forward[i][f]
                 if nxt < 0:
                     break
@@ -281,18 +233,19 @@ class _Enumerator:
                     self.coincidence(f, b)
                 return
             while j >= i:
-                run = jumps[j]
-                if run is not None:
-                    start, _, cycle_of, position, sign = run
-                    cycle = cycle_of[b]
-                    if cycle is not None:
-                        if start < i:
-                            start = i
-                        b = cycle[(position[b] - sign * (j + 1 - start)) % len(cycle)]
-                        if parent[b] != b:
-                            b = self.rep(b)
-                        j = start - 1
-                        continue
+                if jumps is not None:
+                    run = jumps[j]
+                    if run is not None:
+                        start, _, cycle_of, position, sign = run
+                        cycle = cycle_of[b]
+                        if cycle is not None:
+                            if start < i:
+                                start = i
+                            b = cycle[(position[b] - sign * (j + 1 - start)) % len(cycle)]
+                            if self.parent[b] != b:
+                                b = self.rep(b)
+                            j = start - 1
+                            continue
                 prev = backward[j][b]
                 if prev < 0:
                     break
@@ -310,43 +263,31 @@ class _Enumerator:
             i += 1
 
     def mark_cycle(
-        self, alpha: int, period: list[list[int]], marks: bytearray
+        self, alpha: int, period: list[list[int]], marks: bytearray,
+        cycle_of: list | None = None, position: list[int] | None = None,
     ) -> None:
         """Mark alpha.w^i for every i, once alpha's scan of w^k has closed.
 
-        ``period`` holds the column lists of w.
+        ``period`` holds the column lists of w; for a power of g it is the
+        column of g, whatever the sign of the power.  With ``cycle_of`` and
+        ``position`` the walk also records the cycle as the list alpha.g^i
+        for i = 0, 1, ...: ``cycle_of[beta]`` is that list and
+        ``position[beta]`` beta's place on it.  The cycle stays closed, so
+        from a live beta at place i, beta.g^m is the representative of
+        ``cycle[(i + m) % len(cycle)]`` for every m.
         """
+        cycle = None if cycle_of is None else []
         beta = alpha
         while True:
             marks[beta] = 1
+            if cycle is not None:
+                cycle_of[beta] = cycle
+                position[beta] = len(cycle)
+                cycle.append(beta)
             for col in period:
                 beta = col[beta]
             if beta == alpha:
                 return
-
-    def index_cycle(
-        self, alpha: int, marks: bytearray, col: list[int],
-        cycle_of: list, position: list[int],
-    ) -> None:
-        """Mark alpha's g-cycle and record each coset's place on it, once
-        alpha's scan of a power of g has closed.
-
-        ``col`` is the column of g.  The cycle is the list alpha.g^k for
-        k = 0, 1, ..., and ``cycle_of[beta]``, ``position[beta]`` say where
-        beta stands on it.  The cycle stays closed through later definitions
-        and coincidences, which map each edge to one between
-        representatives, so from a live beta recorded at position k, beta.g^m
-        is the representative of ``cycle[(k + m) % len(cycle)]`` for every m.
-        """
-        cycle = [alpha]
-        beta = col[alpha]
-        while beta != alpha:
-            cycle.append(beta)
-            beta = col[beta]
-        for k, beta in enumerate(cycle):
-            marks[beta] = 1
-            cycle_of[beta] = cycle
-            position[beta] = k
 
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """The completed table, live cosets renumbered in increasing order.
@@ -382,19 +323,11 @@ def enumerate_cosets(
     subgroup: ``rows[a][2g]`` is the coset a.g and ``rows[a][2g+1]`` is
     a.g^-1, so the number of rows is the group order.
 
-    Cosets are defined in HLT order.  A proper-power relator w^k is not
-    rescanned at a coset its w-cycle already closed.  When a generator g
-    has a power relator g^N and also a run g^k or g^-k, k >=
-    ``MIN_JUMP_SYLLABLE``, in another relator, every g-cycle that such a
-    power closes is indexed, and a scan crosses the run from a coset on an
-    indexed cycle in one step.  A skipped scan or a jumped run would define,
-    deduce and merge nothing, so the definitions, the budget count and the
-    rows equal those of scanning every relator letter by letter at every
-    coset: ``dicyclic(ell)`` costs O(ell) instead of O(ell^2).  The working
-    table is kept by columns (one list per generator and per inverse) and
-    each relator is resolved once into the lists it reads; the rows are read
-    off the columns at the end, so they are the same as from a table kept
-    by rows.
+    The rows, and the coset at which the budget runs out, are those of
+    plain HLT, which scans every relator letter by letter at every live
+    coset; the module docstring says why skipping the scans of a power at
+    the cosets its cycles closed, and crossing a run in one step, change
+    neither.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite).
@@ -403,56 +336,53 @@ def enumerate_cosets(
         raise ValueError("max_cosets must be >= 1")
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    words = [[_col(letter) for letter in r.letters] for r in p.relators]
-    periods = [_proper_period(letters) for letters in words]
-    powered = {
-        letters[0] >> 1 for letters, period in zip(words, periods) if period == 1
-    }
-    # per generator with a power g^N and a long run in another relator, and
+    words, powered = [], set()
+    for r in p.relators:
+        letters = [_col(letter) for letter in r.letters]
+        period = _proper_period(letters)
+        if period == 1:
+            powered.add(letters[0] >> 1)
+        words.append((letters, period))
+    # per generator g with a power g^N and a long run in another relator, and
     # per coset, its g-cycle and its place on that cycle
     index: dict[int, tuple[list, list[int]]] = {}
-    for letters, period in zip(words, periods):
-        for start, _ in _long_runs(letters) if powered and period != 1 else ():
-            g = letters[start] >> 1
-            if g in powered and g not in index:
-                index[g] = (st.per_coset([None]), st.per_coset([0]))
     relators = []
-    for letters, period in zip(words, periods):
-        forward = [cols[c] for c in letters]
-        backward = [cols[c ^ 1] for c in letters]
+    for letters, period in words:
         jumps = None
-        for start, end in _long_runs(letters) if index and period != 1 else ():
+        for start, end in _long_runs(letters) if powered and period != 1 else ():
             c = letters[start]
-            if c >> 1 in index:
+            if c >> 1 in powered:
+                if c >> 1 not in index:
+                    index[c >> 1] = (st.per_coset([None]), st.per_coset([0]))
                 if jumps is None:
                     jumps = [None] * len(letters)
                 run = (start, end, *index[c >> 1], -1 if c & 1 else 1)
                 jumps[start:end] = [run] * (end - start)
-        if jumps is None:
-            scan, relator = st.scan_and_fill, (forward, backward)
-        else:
-            scan, relator = st.scan_jumping, (forward, backward, jumps)
+        forward = [cols[c] for c in letters]
+        backward = [cols[c ^ 1] for c in letters]
         marks = st.per_coset(bytearray(1)) if period else None
-        cycle_index = None
-        if period == 1 and letters[0] >> 1 in index:
-            g = letters[0] >> 1
-            cycle_index = (cols[2 * g], *index[g])
-        relators.append((scan, relator, forward[:period], marks, cycle_index))
+        g = letters[0] >> 1 if period == 1 else None
+        # a power of g walks the column of g, the direction its places count in
+        walk = forward[:period] if g is None else [cols[2 * g]]
+        relators.append(((forward, backward, jumps), walk, marks, g))
+    relators = [
+        (relator, walk, marks, *index.get(g, (None, None)))
+        for relator, walk, marks, g in relators
+    ]
+    scan, mark_cycle = st.scan, st.mark_cycle
     alpha = 0
     while alpha < len(parent):
         if parent[alpha] != alpha:
             alpha += 1
             continue
-        for scan, relator, period, marks, cycle_index in relators:
+        for relator, walk, marks, cycle_of, position in relators:
             if marks is not None and marks[alpha]:
                 continue  # alpha.r = alpha is already traced in full
             scan(alpha, relator)
             if parent[alpha] != alpha:
                 break
-            if cycle_index is not None:
-                st.index_cycle(alpha, marks, *cycle_index)
-            elif marks is not None:
-                st.mark_cycle(alpha, period, marks)
+            if marks is not None:
+                mark_cycle(alpha, walk, marks, cycle_of, position)
         if parent[alpha] == alpha:
             for c, col in enumerate(cols):
                 if col[alpha] < 0:

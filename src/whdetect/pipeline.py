@@ -143,10 +143,7 @@ def analyze(
             **shared,
         )
 
-    if (
-        len(presentation.relators) < presentation.rank
-        or presentation.free_abelian_rank() > 0
-    ):
+    if presentation.free_abelian_rank() > 0:
         return DetectionReport(verdict="preconditions_unmet", **shared)
     try:
         G = realize_presentation(presentation, budget)
