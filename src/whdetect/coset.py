@@ -33,9 +33,9 @@ Computational Group Theory, 2005, ch. 5).  :func:`enumerate_cosets` returns
 its rows and :func:`realize` adds the BFS word tree that names every
 element.  This module alone reads the table and the tree: the other layers
 use :class:`FiniteGroupRealization`'s left multiplication, conjugation by a
-generator, inverses and element names.  The full multiplication table is
-built only when first asked for, and only the group ring, the tests and the
-benchmark's oracles read it.
+generator, inverses and element names.  A row of the multiplication table
+is built only when first read, and only the group ring, the tests and the
+benchmark's oracles read the table.
 """
 
 from __future__ import annotations
@@ -404,9 +404,10 @@ class FiniteGroupRealization:
     then a.g^-1 for every generator g in turn, so reading it from the
     identity spells a shortest word for each element.  No other module
     reads these two fields; they use what is derived from them here.
-    ``element_names`` spells each element as its tree word.  ``inv`` and
-    the n x n ``mul`` are built on first read, and only the group ring, the
-    tests and the benchmark's oracles read ``mul``.
+    ``element_names`` spells each element as its tree word.  ``inv`` is
+    built on first read, and so is each row of ``mul``, one per element the
+    reader multiplies by on the left; only the group ring, the tests and
+    the benchmark's oracles read ``mul``.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -448,9 +449,9 @@ class FiniteGroupRealization:
         return names
 
     @cached_property
-    def mul(self) -> tuple[tuple[int, ...], ...]:
-        """mul[a][b] = a.b, built row by row with :meth:`left`."""
-        return tuple(tuple(self.left(t)) for t in range(self.order))
+    def mul(self) -> _LeftRows:
+        """mul[a][b] = a.b; row a is built with :meth:`left` on first read."""
+        return _LeftRows(self)
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
@@ -469,6 +470,20 @@ class FiniteGroupRealization:
         for letter in w.letters:
             acc = self.table[acc][_col(letter)]
         return acc
+
+
+class _LeftRows(dict):
+    """The rows of a group's multiplication table, each built on first read."""
+
+    def __init__(self, group: FiniteGroupRealization):
+        super().__init__()
+        self.group = group
+
+    def __missing__(self, a: int) -> list[int]:
+        if not 0 <= a < self.group.order:
+            raise KeyError(a)
+        row = self[a] = self.group.left(a)
+        return row
 
 
 def realize(

@@ -195,13 +195,7 @@ class GroupRingMatrix:
         )
 
     def is_identity(self) -> bool:
-        one = GroupRingElement.one(self.group)
-        zero = GroupRingElement.zero(self.group)
-        return all(
-            self.entries[i][j] == (one if i == j else zero)
-            for i in range(self.n)
-            for j in range(self.n)
-        )
+        return self == GroupRingMatrix.identity(self.group, self.n)
 
     def display(self) -> str:
         names = self.group.element_names()

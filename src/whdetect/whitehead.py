@@ -61,102 +61,50 @@ class SmithNormalForm:
 def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
     """Exact integer Smith normal form with transformation certificates.
 
-    Pivoting picks the smallest nonzero absolute value in the remaining
-    block, which keeps intermediate entries small.  Python integers make
-    overflow impossible.
+    Each round of step t moves the pivot d, the least nonzero |entry| of the
+    trailing block (first in row-major order on a tie), to (t, t) and
+    subtracts A[i][t] // d times row t from every later row and A[t][j] // d
+    times column t from every later column, in U and V too.  A remainder
+    left in row or column t is smaller than |d| and is the next round's
+    pivot, so the rounds end.  Then a later row with an entry d does not
+    divide is added to row t for another round, or d is made positive.
+    Clearing whole rows and columns per round keeps U and V small.
     """
     A = [list(map(int, row)) for row in M]
     n = len(A)
     m = len(A[0]) if n else 0
-    U = [[int(i == j) for j in range(n)] for i in range(n)]
-    V = [[int(i == j) for j in range(m)] for i in range(m)]
-
-    def swap_rows(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def swap_cols(i, j):
-        for row in A:
-            row[i], row[j] = row[j], row[i]
-        for row in V:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row dst += c * row src
-        for k in range(m):
-            A[dst][k] += c * A[src][k]
-        for k in range(n):
-            U[dst][k] += c * U[src][k]
-
-    def add_col(src, dst, c):
-        for row in A:
-            row[dst] += c * row[src]
-        for row in V:
-            row[dst] += c * row[src]
-
+    U, V = _identity(n), _identity(m)
     t = 0
     while t < min(n, m):
-        # locate the smallest nonzero entry in the trailing block; every
-        # restart below re-selects it, which is what keeps entries small
-        pivot = None
-        for i in range(t, n):
-            for j in range(t, m):
-                if A[i][j] != 0 and (
-                    pivot is None or abs(A[i][j]) < abs(A[pivot[0]][pivot[1]])
-                ):
-                    pivot = (i, j)
-        if pivot is None:
+        nonzero = [
+            (abs(A[i][j]), i, j) for i in range(t, n) for j in range(t, m) if A[i][j]
+        ]
+        if not nonzero:
             break
-        swap_rows(t, pivot[0])
-        swap_cols(t, pivot[1])
+        _, p, q = min(nonzero)
+        A[t], A[p], U[t], U[p] = A[p], A[t], U[p], U[t]
+        for row in A + V:
+            row[t], row[q] = row[q], row[t]
         d = A[t][t]
-
-        # if the pivot does not divide its row/column, one division step
-        # produces a strictly smaller nonzero entry; re-pivot on it
-        restart = False
         for i in range(t + 1, n):
-            if A[i][t] % d != 0:
-                add_row(t, i, -(A[i][t] // d))
-                restart = True
-                break
-        if not restart:
-            for j in range(t + 1, m):
-                if A[t][j] % d != 0:
-                    add_col(t, j, -(A[t][j] // d))
-                    restart = True
-                    break
-        if restart:
-            continue
-
-        # pivot divides everything in its row and column: clear exactly
-        for i in range(t + 1, n):
-            if A[i][t] != 0:
-                add_row(t, i, -(A[i][t] // d))
+            if c := A[i][t] // d:
+                A[i] = [x - c * y for x, y in zip(A[i], A[t])]
+                U[i] = [x - c * y for x, y in zip(U[i], U[t])]
+        rows = A + V
         for j in range(t + 1, m):
-            if A[t][j] != 0:
-                add_col(t, j, -(A[t][j] // d))
-
-        # force the divisibility chain: fold a non-multiple entry into row t
-        redo = False
-        for i in range(t + 1, n):
-            for j in range(t + 1, m):
-                if A[i][j] % d != 0:
-                    add_row(i, t, 1)
-                    redo = True
-                    break
-            if redo:
-                break
-        if redo:
+            if c := A[t][j] // d:
+                for row in rows:
+                    row[j] -= c * row[t]
+        if any(A[i][t] for i in range(t + 1, n)) or any(A[t][t + 1 :]):
             continue
+        bad = next((i for i in range(t + 1, n) if any(x % d for x in A[i])), None)
+        if bad is not None:
+            A[t] = [x + y for x, y in zip(A[t], A[bad])]
+            U[t] = [x + y for x, y in zip(U[t], U[bad])]
+            continue
+        if d < 0:
+            A[t][t], U[t] = -d, [-x for x in U[t]]
         t += 1
-
-    # normalize signs on the diagonal
-    for i in range(min(n, m)):
-        if A[i][i] < 0:
-            for k in range(m):
-                A[i][k] = -A[i][k]
-            for k in range(n):
-                U[i][k] = -U[i][k]
     diag = tuple(A[i][i] for i in range(min(n, m)))
     return SmithNormalForm(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
 

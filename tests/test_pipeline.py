@@ -390,6 +390,23 @@ def test_cli_oversized_input_is_refused_before_allocating(argv, tmp_path):
     assert r.stderr.startswith("whdetect: error: ")
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")
+def test_cli_steinberg_eval_on_order_10000_fits_in_512_mib():
+    """The full multiplication table of dicyclic order 10000 would need
+    gigabytes; the group ring builds only the rows its products read."""
+    r = run_python(
+        "-c",
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
+        "from whdetect.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n",
+        "steinberg", "eval", "--group", "dicyclic_10000",
+        "--word", "x(1,2;a) x(2,1;-a^-1) x(1,2;a)",
+    )
+    assert r.returncode == 0, r.stderr
+    assert "PD form: yes" in r.stdout.splitlines()
+
+
 def test_cli_presentation_sections_on_two_lines_is_one_line_exit_2(tmp_path):
     """Without ``;`` the second line would be read into a generator name."""
     f = tmp_path / "two_lines.txt"

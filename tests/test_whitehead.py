@@ -74,10 +74,20 @@ def test_snf_hand_examples():
 
 def test_snf_certificate_500_random():
     rnd = random.Random(20240817)
+    inputs = []
     for _ in range(500):
         n, m = rnd.randint(1, 8), rnd.randint(1, 8)
-        M = [[rnd.randint(-9, 9) for _ in range(m)] for _ in range(n)]
+        inputs.append([[rnd.randint(-9, 9) for _ in range(m)] for _ in range(n)])
+    # sparse 30 x 30 inputs on which pivoting one division step at a time
+    # grew certificate entries to thousands of bits
+    for seed in range(4):
+        sparse = random.Random(seed)
+        entries = (0, 0, 0, 0, 1, -1, 2)
+        inputs.append([[sparse.choice(entries) for _ in range(30)] for _ in range(30)])
+    for M in inputs:
+        n, m = len(M), len(M[0])
         s = smith_normal_form(M)
+        assert all(x.bit_length() < 1000 for W in (s.U, s.V) for row in W for x in row)
         U = np.array(s.U, dtype=object)
         V = np.array(s.V, dtype=object)
         D = U @ np.array(M, dtype=object) @ V
