@@ -14,13 +14,13 @@ from whdetect.analysis import is_ambivalent
 from whdetect.coset import element_order, realize_presentation
 from whdetect.pipeline import reproduce_table_73
 
-result, computed = reproduce_table_73(240)
+diffs, computed = reproduce_table_73(240)
 
 ambivalent = sorted(n for n, a in computed.items() if a)
 non_ambivalent = sorted(n for n, a in computed.items() if not a)
 
-print(f"checked {len(result.checked)} groups, classification "
-      f"{'matches' if result.passed else 'DIFFERS from'} expectations\n")
+print(f"checked {len(computed)} groups, classification "
+      f"{'DIFFERS from' if diffs else 'matches'} expectations\n")
 print("ambivalent (detection rank 0):")
 for n in ambivalent:
     print(f"  {n}")

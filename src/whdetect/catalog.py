@@ -25,14 +25,7 @@ from .coset import (
     element_order,
     realize_presentation,
 )
-from .words import (
-    MAX_WORD_LETTERS,
-    Generator,
-    Presentation,
-    Word,
-    commutator,
-    make_presentation,
-)
+from .words import MAX_WORD_LETTERS, Presentation, make_presentation
 
 
 class SeifertError(ValueError):
@@ -126,12 +119,12 @@ def seifert_presentation(s: SeifertInvariants) -> Presentation:
 
     Orientable base: generators a_i, b_i (i <= g), q_j (j <= r), h; relators
     a_i h a_i^-1 h^-eps_i, b_i h b_i^-1 h^-eps_i, [q_j, h], q_j^alpha_j
-    h^beta_j, and q_1...q_r [a_1,b_1]...[a_g,b_g] h^-b.  Nonorientable base:
-    v_i replace the a_i, b_i pairs and the long relator ends v_1^2...v_g^2.
-    Raises :class:`SeifertError` before building relators that would hold
-    more than ``MAX_WORD_LETTERS`` letters in all.
+    h^beta_j, and q_1...q_r [a_1,b_1]...[a_g,b_g] h^-b unless it is empty.
+    Nonorientable base: v_i replace the a_i, b_i pairs and the long relator
+    ends v_1^2...v_g^2.  The relators are text for :func:`make_presentation`;
+    a :class:`SeifertError` comes first if they would exceed ``MAX_WORD_LETTERS``.
     """
-    g, r = s.genus, len(s.exceptional)
+    g = s.genus
     # the letters before free reduction with an orientable base, a bound otherwise
     letters = 12 * g + sum(a + abs(b) + 5 for a, b in s.exceptional) + abs(s.b)
     if letters > MAX_WORD_LETTERS:
@@ -140,45 +133,19 @@ def seifert_presentation(s: SeifertInvariants) -> Presentation:
         )
     eps = _epsilon_exponents(s.epsilon, g)
     if s.epsilon.orientable_base:
-        names = [x for i in range(1, g + 1) for x in (f"a{i}", f"b{i}")]
+        base = [(f"{x}{i}", e) for i, e in enumerate(eps, 1) for x in "ab"]
+        ends = [f"a{i} b{i} a{i}^-1 b{i}^-1" for i in range(1, g + 1)]
     else:
-        names = [f"v{i}" for i in range(1, g + 1)]
-    names += [f"q{j}" for j in range(1, r + 1)] + ["h"]
-    gens_by_name = {n: i for i, n in enumerate(names)}
-    h = gens_by_name["h"]
-
-    def w(idx: int, e: int = 1) -> Word:
-        return Word(((idx, 1 if e > 0 else -1),) * abs(e))
-
-    relators: list[Word] = []
-    if s.epsilon.orientable_base:
-        base_gens = [
-            (gens_by_name[f"a{i}"], gens_by_name[f"b{i}"]) for i in range(1, g + 1)
-        ]
-        for i, (a, b) in enumerate(base_gens):
-            relators.append(w(a) * w(h) * w(a, -1) * w(h, -eps[i]))
-            relators.append(w(b) * w(h) * w(b, -1) * w(h, -eps[i]))
-    else:
-        for i in range(1, g + 1):
-            v = gens_by_name[f"v{i}"]
-            relators.append(w(v) * w(h) * w(v, -1) * w(h, -eps[i - 1]))
-    for j, (alpha, beta) in enumerate(s.exceptional, start=1):
-        q = gens_by_name[f"q{j}"]
-        relators.append(commutator(w(q), w(h)))
-        relators.append(w(q, alpha) * w(h, beta))
-    long_rel = Word()
-    for j in range(1, r + 1):
-        long_rel = long_rel * w(gens_by_name[f"q{j}"])
-    if s.epsilon.orientable_base:
-        for a, b in base_gens:
-            long_rel = long_rel * commutator(w(a), w(b))
-    else:
-        for i in range(1, g + 1):
-            long_rel = long_rel * w(gens_by_name[f"v{i}"], 2)
-    long_rel = long_rel * w(h, -s.b)
-    relators.append(long_rel)
-    gens = tuple(Generator(i, n) for i, n in enumerate(names))
-    return Presentation(gens, tuple(r for r in relators if r))
+        base = [(f"v{i}", e) for i, e in enumerate(eps, 1)]
+        ends = [f"v{i}^2" for i in range(1, g + 1)]
+    qs = [f"q{j}" for j in range(1, len(s.exceptional) + 1)]
+    relators = [f"{x} h {x}^-1 h^{-e}" for x, e in base]
+    for q, (alpha, beta) in zip(qs, s.exceptional):
+        relators += [f"{q} h {q}^-1 h^-1", f"{q}^{alpha} h^{beta}"]
+    long_rel = qs + ends + ([f"h^{-s.b}"] if s.b else [])
+    if long_rel:
+        relators.append(" ".join(long_rel))
+    return make_presentation([x for x, _ in base] + qs + ["h"], relators)
 
 
 def orbifold_euler_characteristic(s: SeifertInvariants) -> Fraction:

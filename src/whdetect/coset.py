@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .words import Presentation, Word
 
@@ -404,10 +404,10 @@ class FiniteGroupRealization:
     then a.g^-1 for every generator g in turn, so reading it from the
     identity spells a shortest word for each element.  No other module
     reads these two fields; they use what is derived from them here.
-    ``element_names`` spells each element as its tree word.  ``inv`` is
-    built on first read, and so is each row of ``mul``, one per element the
-    reader multiplies by on the left; only the group ring, the tests and
-    the benchmark's oracles read ``mul``.
+    ``element_names`` spells only the elements it is given, as their tree
+    words.  ``inv`` is built on first read, and so is each row of ``mul``,
+    one per element the reader multiplies by on the left; only the group
+    ring, the tests and the benchmark's oracles read ``mul``.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -438,14 +438,19 @@ class FiniteGroupRealization:
         table = self.table
         return [table[c][col] for c in self.left(table[0][col ^ 1])]
 
-    def element_names(self) -> list[str]:
-        """A display name per element: its word along the tree, "1" at 0."""
-        names = ["1"] + [""] * (self.order - 1)
+    def element_names(self, elements: Iterable[int]) -> dict[int, str]:
+        """The display name of each given element: its word along the tree,
+        "1" for the identity.  Only the given elements are spelled."""
         gens = self.source.generators
-        for b, a, c in self.tree:
-            name = gens[c >> 1].name
-            tag = f"{name}^-1" if c & 1 else name
-            names[b] = tag if a == 0 else f"{names[a]} {tag}"
+        parent = {b: (a, c) for b, a, c in self.tree}
+        names = {}
+        for g in elements:
+            tags, x = [], g
+            while x:
+                x, c = parent[x]
+                name = gens[c >> 1].name
+                tags.append(f"{name}^-1" if c & 1 else name)
+            names[g] = " ".join(reversed(tags)) or "1"
         return names
 
     @cached_property

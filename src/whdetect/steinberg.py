@@ -98,11 +98,11 @@ class GroupRingElement:
         return None
 
     def display(self) -> str:
-        return _format(self, self.group.element_names())
+        return _format(self, self.group.element_names(g for g, _ in self.terms))
 
 
-def _format(x: GroupRingElement, names: list[str]) -> str:
-    """Display form of x, given the name of every group element."""
+def _format(x: GroupRingElement, names: dict[int, str]) -> str:
+    """Display form of x, given the name of each element in its terms."""
     if not x.terms:
         return "0"
     parts = []
@@ -198,7 +198,9 @@ class GroupRingMatrix:
         return self == GroupRingMatrix.identity(self.group, self.n)
 
     def display(self) -> str:
-        names = self.group.element_names()
+        names = self.group.element_names(
+            {g for row in self.entries for e in row for g, _ in e.terms}
+        )
         cells = [[_format(e, names) for e in row] for row in self.entries]
         width = max((len(c) for row in cells for c in row), default=1)
         return "\n".join(

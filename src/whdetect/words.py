@@ -2,7 +2,11 @@
 
 A word is a sequence of letters ``(generator_index, sign)`` with sign in
 ``{+1, -1}``.  Words are always stored freely reduced; the empty word is the
-identity.  Presentations are lists of relator words over a declared alphabet.
+identity.  Presentations are lists of relator words over a declared alphabet;
+the catalog writes its relators as text for :func:`make_presentation` too.
+The free rank of a presentation's abelianization is
+``pipeline.free_abelian_rank``: it needs the Smith normal form of
+``whitehead``, which this module does not import.
 """
 
 from __future__ import annotations
@@ -105,11 +109,6 @@ class Word:
         return " ".join(parts)
 
 
-def commutator(u: Word, v: Word) -> Word:
-    """[u, v] = u v u^-1 v^-1."""
-    return u * v * u.inverse() * v.inverse()
-
-
 _TOKEN = re.compile(rf"({_NAME.pattern})(?:\s*\^\s*(-?\d+))?")
 
 
@@ -176,38 +175,6 @@ class Presentation:
     @property
     def rank(self) -> int:
         return len(self.generators)
-
-    def free_abelian_rank(self) -> int:
-        """Free rank of the abelianization: the rank minus the rank over Q of
-        the exponent-sum matrix (one row per relator).  A value > 0 certifies
-        that the presented group is infinite (Johnson, *Presentations of
-        Groups*, 2nd ed., 1997, ch. 2).
-
-        The matrix rank comes from fraction-free (Bareiss) elimination, whose
-        every division is exact, so it needs integers only.
-        """
-        n = self.rank
-        rows = []
-        for r in self.relators:
-            row = [0] * n
-            for g, s in r.letters:
-                row[g] += s
-            if any(row):
-                rows.append(row)
-        rank, prev = 0, 1
-        for col in range(n):
-            pivot = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
-            if pivot is None:
-                continue
-            rows[rank], rows[pivot] = rows[pivot], rows[rank]
-            top = rows[rank]
-            p = top[col]
-            for i in range(rank + 1, len(rows)):
-                f = rows[i][col]
-                rows[i] = [(p * x - f * t) // prev for x, t in zip(rows[i], top)]
-            prev = p
-            rank += 1
-        return n - rank
 
     def display(self) -> str:
         gens = ", ".join(g.name for g in self.generators)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 from fractions import Fraction
 from math import gcd, prod
@@ -78,6 +79,25 @@ def test_three_torus_presentation_is_z3():
     # fiber is central (o1) and the long relator is [a1,b1] h^0: Z^3,
     # so every relator must be a commutator-type word
     assert len(p.relators) == 3
+
+
+def test_seifert_presentations_are_pinned():
+    """The displayed presentations of an 11,400-datum grid hash to a pinned
+    digest: a rewrite of the builder keeps every generator and relator."""
+    fibers = [
+        (a, b) for a in range(2, 6) for b in range(1 - a, a) if b and gcd(a, b) == 1
+    ]
+    digest = hashlib.sha256()
+    for eps in Epsilon:
+        for g in range(eps.min_genus, eps.min_genus + 2):
+            for b in range(-2, 3):
+                for r in range(3):
+                    for f in itertools.combinations_with_replacement(fibers, r):
+                        p = seifert_presentation(SeifertInvariants(b, eps, g, f))
+                        digest.update((p.display() + "\n").encode())
+    assert digest.hexdigest() == (
+        "9a4493926e3e9af153f738dc022a7f103169b86be762265a2a78228c7effd220"
+    )
 
 
 def test_lens_style_datum_gives_cyclic_group():

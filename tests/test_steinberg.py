@@ -209,7 +209,9 @@ def test_matrix_display_walks_word_tree_once(monkeypatch):
     walks = []
     real = FiniteGroupRealization.element_names
     monkeypatch.setattr(
-        FiniteGroupRealization, "element_names", lambda H: walks.append(H) or real(H)
+        FiniteGroupRealization,
+        "element_names",
+        lambda H, elements: walks.append(H) or real(H, elements),
     )
     text = M.display()
     assert len(walks) == 1
