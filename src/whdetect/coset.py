@@ -16,14 +16,14 @@ scanned once per w-cycle instead of once per coset: once its scan at a live
 coset alpha has closed, one walk round the cycle marks every alpha.w^i, and
 the relator is not scanned again at a marked coset (Havas and Ramsay, Coset
 enumeration: ACE, 2001).  When w is a single generator g that also has a run
-g^k or g^-k, k >= 4, in another relator, the same walk records each coset's
-place on its g-cycle, and a scan crosses the run in one step: from a live
-coset at place i on a cycle of length L, g^k leads to the representative of
-the coset at place (i + k) mod L (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, sec. 5.1).  A skipped scan or a crossed
-run would have defined, deduced and merged nothing, so the definitions, the
-budget count and the rows are those of plain HLT, and a presentation such as
-the dicyclic x^2 a^-l is enumerated in time linear in the order instead of
+g^k or g^-k, k >= 2, in another relator, the same walk records each coset's
+place on its g-cycle, and a scan crosses every such run in one step: from a
+live coset at place i on a cycle of length L, g^k leads to the representative
+of the coset at place (i + k) mod L (Holt, Eick and O'Brien, Handbook of
+Computational Group Theory, 2005, sec. 5.1).  A skipped scan or a crossed run
+would have defined, deduced and merged nothing, so the definitions, the budget
+count and the rows are those of plain HLT, and a presentation such as the
+dicyclic x^2 a^-l is enumerated in time linear in the order instead of
 quadratic.
 
 The completed table is itself the finite group: elements are the cosets,
@@ -48,10 +48,10 @@ from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 200_000
 
-# the shortest run g^k of one letter that a scan crosses in one step when g
-# has a power relator (see enumerate_cosets); shorter runs are read letter by
-# letter
-MIN_JUMP_SYLLABLE = 4
+# the most table entries, budget times 2 * rank, that a budget may ask for:
+# the columns then hold at most 80 MB of slots, and filling an accepted
+# budget on one or two generators stays within 512 MiB
+MAX_TABLE_ENTRIES = 10_000_000
 
 # the slots each per-coset array starts with: a small group never grows them
 _FIRST_BLOCK = 64
@@ -79,13 +79,13 @@ def _proper_period(cols: Sequence[int]) -> int:
     return 0
 
 
-def _long_runs(cols: Sequence[int]) -> list[tuple[int, int]]:
+def _long_runs(cols: Sequence[int], powered: set[int]) -> list[tuple[int, int]]:
     """The maximal runs cols[start:end] of one letter repeated at least
-    ``MIN_JUMP_SYLLABLE`` times, in order."""
+    twice, in order, of the generators in ``powered``."""
     runs, start, n = [], 0, len(cols)
     for i in range(1, n + 1):
         if i == n or cols[i] != cols[start]:
-            if i - start >= MIN_JUMP_SYLLABLE:
+            if i - start >= 2 and cols[start] >> 1 in powered:
                 runs.append((start, i))
             start = i
     return runs
@@ -108,40 +108,37 @@ class _Enumerator:
 
     def __init__(self, n_generators: int, max_cosets: int):
         self.size = min(max_cosets, _FIRST_BLOCK)
-        self.cols: list[list[int]] = [
-            [-1] * self.size for _ in range(2 * n_generators)
-        ]
         self.max_cosets = max_cosets
         self.parent: list[int] = [0]
         self.queue: list[int] = []
-        self.extras: list[tuple[list | bytearray, list | bytearray]] = []
+        self.arrays: list[tuple[list | bytearray, list | bytearray]] = []
+        self.cols: list[list[int]] = [
+            self.per_coset([-1]) for _ in range(2 * n_generators)
+        ]
 
     def per_coset(self, fill: list | bytearray) -> list | bytearray:
-        """A new array of one slot per coset, grown with the columns.
+        """A new array of one slot per coset, grown with every other one.
 
-        ``fill`` holds the one value of a new slot: ``bytearray(1)`` for
-        marks, ``[None]`` or ``[0]`` for a list.
+        ``fill`` holds the one value of a new slot: ``[-1]`` for a column,
+        ``bytearray(1)`` for marks, ``[None]`` or ``[0]`` for a cycle index.
         """
         array = fill * self.size
-        self.extras.append((array, fill))
+        self.arrays.append((array, fill))
         return array
 
     def _grow(self) -> None:
         add = min(self.size, self.max_cosets - self.size)
-        block = [-1] * add
-        for col in self.cols:
-            col += block
-        for array, fill in self.extras:
+        for array, fill in self.arrays:
             array += fill * add
         self.size += add
 
     def rep(self, a: int) -> int:
-        root = a
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[a] != root:
-            self.parent[a], a = root, self.parent[a]
-        return root
+        # path halving: each coset on the way up is pointed at its grandparent
+        parent = self.parent
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
 
     def define(self, a: int, col: list[int], inv_col: list[int]) -> int:
         """Define the new coset b = a.x, where col and inv_col are x and x^-1."""
@@ -330,63 +327,60 @@ def enumerate_cosets(
     neither.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
-    working cosets would be needed (the group may be infinite).
+    working cosets would be needed (the group may be infinite), and
+    ValueError, before allocating anything, for a budget below 1 or above
+    ``MAX_TABLE_ENTRIES`` table entries (``max_cosets`` times 2 * rank).
     """
     if max_cosets < 1:
         raise ValueError("max_cosets must be >= 1")
+    if max_cosets * 2 * p.rank > MAX_TABLE_ENTRIES:
+        raise ValueError(
+            f"coset budget {max_cosets} for {p.rank} generators needs"
+            f" {max_cosets * 2 * p.rank} table entries, more than {MAX_TABLE_ENTRIES}"
+        )
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    words, powered = [], set()
-    for r in p.relators:
-        letters = [_col(letter) for letter in r.letters]
-        period = _proper_period(letters)
-        if period == 1:
-            powered.add(letters[0] >> 1)
-        words.append((letters, period))
-    # per generator g with a power g^N and a long run in another relator, and
-    # per coset, its g-cycle and its place on that cycle
-    index: dict[int, tuple[list, list[int]]] = {}
-    relators = []
-    for letters, period in words:
-        jumps = None
-        for start, end in _long_runs(letters) if powered and period != 1 else ():
-            c = letters[start]
-            if c >> 1 in powered:
-                if c >> 1 not in index:
-                    index[c >> 1] = (st.per_coset([None]), st.per_coset([0]))
-                if jumps is None:
-                    jumps = [None] * len(letters)
-                run = (start, end, *index[c >> 1], -1 if c & 1 else 1)
-                jumps[start:end] = [run] * (end - start)
-        forward = [cols[c] for c in letters]
-        backward = [cols[c ^ 1] for c in letters]
-        marks = st.per_coset(bytearray(1)) if period else None
-        g = letters[0] >> 1 if period == 1 else None
-        # a power of g walks the column of g, the direction its places count in
-        walk = forward[:period] if g is None else [cols[2 * g]]
-        relators.append(((forward, backward, jumps), walk, marks, g))
-    relators = [
-        (relator, walk, marks, *index.get(g, (None, None)))
-        for relator, walk, marks, g in relators
+    letters = [[_col(letter) for letter in r.letters] for r in p.relators]
+    periods = [_proper_period(w) for w in letters]
+    powered = {w[0] >> 1 for w, period in zip(letters, periods) if period == 1}
+    # the runs of powered generators in each relator that is not a power g^N
+    runs = [
+        _long_runs(w, powered) if powered and period != 1 else []
+        for w, period in zip(letters, periods)
     ]
+    # per generator g with a power g^N and a run in another relator, and per
+    # coset, its g-cycle and its place on that cycle
+    crossed = {w[i] >> 1 for w, rs in zip(letters, runs) for i, _ in rs}
+    index = {g: (st.per_coset([None]), st.per_coset([0])) for g in crossed}
+    relators = []
+    for w, period, rs in zip(letters, periods, runs):
+        forward = [cols[c] for c in w]
+        backward = [cols[c ^ 1] for c in w]
+        jumps = [None] * len(w) if rs else None
+        for start, end in rs:
+            run = (start, end, *index[w[start] >> 1], -1 if w[start] & 1 else 1)
+            jumps[start:end] = [run] * (end - start)
+        marks = st.per_coset(bytearray(1)) if period else None
+        # a power of g walks the column of g, the direction its places count in
+        walk = [cols[w[0] & ~1]] if period == 1 else forward[:period]
+        cycle = index.get(w[0] >> 1, (None, None)) if period == 1 else (None, None)
+        relators.append(((forward, backward, jumps), walk, marks, *cycle))
     scan, mark_cycle = st.scan, st.mark_cycle
     alpha = 0
     while alpha < len(parent):
-        if parent[alpha] != alpha:
-            alpha += 1
-            continue
-        for relator, walk, marks, cycle_of, position in relators:
-            if marks is not None and marks[alpha]:
-                continue  # alpha.r = alpha is already traced in full
-            scan(alpha, relator)
-            if parent[alpha] != alpha:
-                break
-            if marks is not None:
-                mark_cycle(alpha, walk, marks, cycle_of, position)
         if parent[alpha] == alpha:
-            for c, col in enumerate(cols):
-                if col[alpha] < 0:
-                    st.define(alpha, col, cols[c ^ 1])
+            for relator, walk, marks, cycle_of, position in relators:
+                if marks is not None and marks[alpha]:
+                    continue  # alpha.r = alpha is already traced in full
+                scan(alpha, relator)
+                if parent[alpha] != alpha:
+                    break
+                if marks is not None:
+                    mark_cycle(alpha, walk, marks, cycle_of, position)
+            else:
+                for c, col in enumerate(cols):
+                    if col[alpha] < 0:
+                        st.define(alpha, col, cols[c ^ 1])
         alpha += 1
     return st.rows()
 

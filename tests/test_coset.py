@@ -4,11 +4,13 @@ import sys
 import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
+import enumeration_digest
 from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups, cyclic, dicyclic
 from whdetect.coset import (
     EnumerationBudgetExceeded,
     IncompleteTableError,
+    MAX_TABLE_ENTRIES,
     _Enumerator,
     element_order,
     enumerate_cosets,
@@ -291,6 +293,15 @@ def test_bad_budget():
         enumerate_cosets(make_presentation(["a"], ["a^2"]), 0)
 
 
+def test_budget_past_the_table_limit_is_refused():
+    """The limit counts budget times columns, and a budget at it is
+    accepted: only the first block of the table is allocated up front."""
+    p = make_presentation(["a", "b"], ["a^2", "b^3", "a b a b"])
+    assert len(enumerate_cosets(p, MAX_TABLE_ENTRIES // 4)) == 6
+    with pytest.raises(ValueError, match="table entries"):
+        enumerate_cosets(p, MAX_TABLE_ENTRIES // 4 + 1)
+
+
 @pytest.mark.parametrize(
     "G",
     [cyclic_group(12), dicyclic_group(2), dicyclic_group(3), binary_polyhedral_group(3),
@@ -343,15 +354,19 @@ def test_power_relator_scanned_once_per_cycle(monkeypatch):
 
 def test_every_scan_goes_through_a_scan_method(monkeypatch):
     """Every dicyclic relator is scanned through the patched method, and
-    only x^2 a^-ell carries jumps, over its run a^-ell: a^(2 ell) is the
-    power whose cycles are recorded and x^-1 a x a has no long run."""
+    only x^2 a^-ell carries jumps, over its run a^-ell, however short: a^(2
+    ell) is the power whose cycles are recorded, x has no power and x^-1 a
+    x a has no run.  The relators are told apart by their first scans, at
+    coset 0 in presentation order."""
     calls = _count_scans(monkeypatch)
-    assert len(enumerate_cosets(dicyclic(50))) == 200
-    crossed = {}
-    for forward, _, jumps in calls:
-        crossed[len(forward)] = jumps and [run is not None for run in jumps]
-    assert crossed == {100: None, 52: [False] * 2 + [True] * 50, 4: None}
-    assert len(calls) > 200  # x^2 a^-ell and x^-1 a x a at every live coset
+    for ell in (2, 3, 50):
+        calls.clear()
+        assert len(enumerate_cosets(dicyclic(ell))) == 4 * ell
+        crossed = {}
+        for forward, _, jumps in calls:
+            crossed.setdefault(id(forward), jumps and [run is not None for run in jumps])
+        assert list(crossed.values()) == [None, [False] * 2 + [True] * ell, None]
+        assert len(calls) > 4 * ell  # x^2 a^-ell and x^-1 a x a at every live coset
 
 
 def _column_reads(monkeypatch, p):
@@ -367,8 +382,12 @@ def _column_reads(monkeypatch, p):
     init = _Enumerator.__init__
 
     def counting_init(self, *args):
+        # wrap the columns where they are registered too, so that they grow
+        # with the other per-coset arrays
         init(self, *args)
+        assert len(self.arrays) == len(self.cols)  # nothing else registered yet
         self.cols = [CountingColumn(col) for col in self.cols]
+        self.arrays = [(col, [-1]) for col in self.cols]
 
     monkeypatch.setattr(_Enumerator, "__init__", counting_init)
     enumerate_cosets(p)
@@ -479,6 +498,14 @@ def test_positive_free_abelian_rank_never_completes(p):
     if free_abelian_rank(p) > 0:
         with pytest.raises(EnumerationBudgetExceeded):
             enumerate_cosets(p, 2_000)
+
+
+def test_enumeration_digest_is_pinned():
+    """The seeded sample of the digest families gives the pinned rows and
+    exhausted outcomes; ``tests/enumeration_digest.py`` checks the full set."""
+    assert enumeration_digest.digest(enumeration_digest.inputs(sample=True)) == (
+        enumeration_digest.SAMPLE
+    )
 
 
 def test_enumeration_deterministic():

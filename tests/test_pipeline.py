@@ -367,24 +367,30 @@ def test_cli_malformed_seifert_field_names_it(datum, named, capsys):
         ["steinberg", "eval", "--group", "cyclic_4", "--word", "x(1,100000;a)"],
         ["analyze", "--seifert=100000000,o1,0,(2:1),(3:1),(5:1)"],
         ["analyze", "--seifert", "0,o1,100000000"],
+        ["analyze", "--presentation", "TRIANGLE", "--budget", "100000000"],
     ],
     ids=[
         "power-a^100000000", "catalog-order-20000", "steinberg-dimension-100000",
-        "seifert-b-100000000", "seifert-genus-100000000",
+        "seifert-b-100000000", "seifert-genus-100000000", "budget-100000000",
     ],
 )
 def test_cli_oversized_input_is_refused_before_allocating(argv, tmp_path):
     """Each input would need gigabytes; within a 512 MiB address space the
-    size check must come first and give the usual one-line error."""
-    huge = tmp_path / "huge.txt"
-    huge.write_text("gens: a; rels: a^100000000")
+    size check must come first and give the usual one-line error.  The
+    (2,3,7) triangle group is infinite, so it would fill the coset budget."""
+    files = {
+        "HUGE_POWER": "gens: a; rels: a^100000000",
+        "TRIANGLE": "gens: a, b; rels: a^2, b^3, a b a b a b a b a b a b a b",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
     r = run_python(
         "-c",
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))\n"
         "from whdetect.cli import main\n"
         "sys.exit(main(sys.argv[1:]))\n",
-        *[str(huge) if a == "HUGE_POWER" else a for a in argv],
+        *[str(tmp_path / a) if a in files else a for a in argv],
     )
     assert r.returncode == 2 and r.stdout == ""
     assert len(r.stderr.splitlines()) == 1
