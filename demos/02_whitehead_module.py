@@ -2,8 +2,9 @@
 
 ``wh1_general`` splits the quotient Gamma[pi] / (twisted conjugation,
 identity coordinate) into one summand per nontrivial conjugacy class [x],
-the coinvariants H0(C(x); Gamma) of its centralizer, each read off a
-certified Smith normal form of a small cokernel.
+the coinvariants H0(C(x); Gamma) of its centralizer, each read off the
+diagonal of the Smith normal form of a small cokernel; the tests certify
+that diagonal against a reference that also builds U, V with U M V = D.
 
 For Gamma = Z/2 with the trivial action every summand is Z/2, so the
 quotient is the Z/2-vector space on the nontrivial conjugacy classes, of

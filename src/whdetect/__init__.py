@@ -44,7 +44,6 @@ from .whitehead import (
     InvolutionSpace,
     WhiteheadGroupResult,
     involution_space,
-    smith_normal_form,
     wh1_general,
 )
 from .words import (

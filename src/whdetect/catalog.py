@@ -369,9 +369,10 @@ def seifert_goodness(s: SeifertInvariants) -> Goodness:
 def seifert_k1_trivial(s: SeifertInvariants) -> Optional[bool]:
     """k1 flag for the Seifert families the detection theorem covers.
 
-    Circle bundles over orientable surfaces of genus <= 1 and the finite
-    (``spherical``) cases have trivial first k-invariant; elsewhere the flag
-    is left undetermined (None) and the pipeline refuses a verdict.
+    Type o1 data of genus <= 1 (over the sphere or the torus, with or
+    without exceptional fibers) and the finite (``spherical``) cases have
+    trivial first k-invariant; elsewhere the flag is left undetermined
+    (None) and the pipeline refuses a verdict.
     """
     if s.spherical or (s.epsilon is Epsilon.O1 and s.genus <= 1):
         return True

@@ -34,21 +34,24 @@ from .words import parse_presentation
 _SEIFERT_FORM = "b,eps,g,(alpha:beta),..."
 
 
-def _seifert_int(field: str, value: str) -> int:
+def _int_field(name: str, value: str, form: str) -> int:
+    """``value`` as an int, or a ValueError naming the field and its form."""
     try:
         return int(value)
     except ValueError:
-        raise ValueError(
-            f"seifert {field} {value!r} is not an integer, in the datum {_SEIFERT_FORM}"
-        ) from None
+        raise ValueError(f"{name} {value!r} is not an integer, in {form}") from None
 
 
 def _parse_seifert(text: str) -> SeifertInvariants:
-    """Parse ``b,eps,g,(a1:b1),(a2:b2),...`` e.g. ``0,o1,1`` for the 3-torus."""
-    parts = [p.strip() for p in text.split(",") if p.strip()]
+    """Parse ``b,eps,g,(a1:b1),(a2:b2),...`` e.g. ``0,o1,1`` for the 3-torus.
+
+    Whitespace around a field or a number is ignored; an empty field is an
+    error naming that field.
+    """
+    parts = [p.strip() for p in text.split(",")]
     if len(parts) < 3:
         raise ValueError("seifert datum needs at least b,eps,g")
-    b = _seifert_int("b", parts[0])
+    b = _int_field("seifert b", parts[0], f"the datum {_SEIFERT_FORM}")
     try:
         eps = Epsilon(parts[1])
     except ValueError:
@@ -57,10 +60,11 @@ def _parse_seifert(text: str) -> SeifertInvariants:
             f"seifert base type eps {parts[1]!r} is not one of {types},"
             f" in the datum {_SEIFERT_FORM}"
         ) from None
-    g = _seifert_int("genus g", parts[2])
+    g = _int_field("seifert genus g", parts[2], f"the datum {_SEIFERT_FORM}")
     fibers = []
     for p in parts[3:]:
-        a, _, bb = p.strip("()").partition(":")
+        inner = p[1:-1] if p.startswith("(") and p.endswith(")") else ""
+        a, _, bb = inner.partition(":")
         try:
             fibers.append((int(a), int(bb)))
         except ValueError:
@@ -102,9 +106,12 @@ def _cmd_table73(args: argparse.Namespace) -> int:
 
 
 def _cmd_wh1(args: argparse.Namespace) -> int:
+    factors = (2,) if args.gamma is None else tuple(
+        _int_field(f"gamma factor {i}", x, "the list d1,d2,... of invariant factors")
+        for i, x in enumerate(args.gamma.split(","), 1)
+    )
     entry = get_preset(args.preset)
     G = realize_presentation(entry.presentation, args.budget)
-    factors = (2,) if args.gamma is None else tuple(int(x) for x in args.gamma.split(","))
     result = wh1_general(G, CoefficientSystem(factors))
     print(
         json.dumps(

@@ -11,11 +11,13 @@ of Groups, ch. III; Oliver, Whitehead Groups of Finite Groups, 1988)
 
 ``wh1_general`` computes each summand as the cokernel of an r-column
 matrix: Gamma's torsion and I - M_c for the Schreier generators c of the
-centralizer C(x) found while walking the class, each by a certified Smith
-normal form.  The tests compare it with ``wh1_dense``, one Smith normal
-form of the whole (r * |pi|)-column relation matrix.  For Gamma = Z/2 with
-the trivial action every centralizer acts trivially, so each summand is Z/2
-and Wh1(pi; Z/2) is the free Z/2-vector space on the nontrivial conjugacy
+centralizer C(x) found while walking the class, each read off the diagonal
+of an exact Smith normal form.  The tests certify that diagonal against a
+reference that also builds the unimodular transforms, and compare
+``wh1_general`` with ``wh1_dense``, one Smith normal form of the whole
+(r * |pi|)-column relation matrix.  For Gamma = Z/2 with the trivial
+action every centralizer acts trivially, so each summand is Z/2 and
+Wh1(pi; Z/2) is the free Z/2-vector space on the nontrivial conjugacy
 classes; the tests check ``wh1_general`` against that class count.
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
@@ -49,31 +51,22 @@ class CoefficientError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SmithNormalForm:
-    """U @ M @ V = D exactly, with U, V unimodular and D = diag chain d1 | d2 | ..."""
-
-    diagonal: tuple[int, ...]
-    U: tuple[tuple[int, ...], ...]
-    V: tuple[tuple[int, ...], ...]
-
-
-def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
-    """Exact integer Smith normal form with transformation certificates.
+def smith_normal_form(M: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Diagonal d1 | d2 | ... of the exact integer Smith normal form of M.
 
     Each round of step t moves the pivot d, the least nonzero |entry| of the
     trailing block (first in row-major order on a tie), to (t, t) and
     subtracts A[i][t] // d times row t from every later row and A[t][j] // d
-    times column t from every later column, in U and V too.  A remainder
-    left in row or column t is smaller than |d| and is the next round's
-    pivot, so the rounds end.  Then a later row with an entry d does not
-    divide is added to row t for another round, or d is made positive.
-    Clearing whole rows and columns per round keeps U and V small.
+    times column t from every later column.  A remainder left in row or
+    column t is smaller than |d| and is the next round's pivot, so the
+    rounds end.  Then a later row with an entry d does not divide is added
+    to row t for another round, or d is made positive.  The tests run the
+    same rounds with unimodular certificates U, V (U M V = D) as the oracle
+    this diagonal must equal.
     """
     A = [list(map(int, row)) for row in M]
     n = len(A)
     m = len(A[0]) if n else 0
-    U, V = _identity(n), _identity(m)
     t = 0
     while t < min(n, m):
         nonzero = [
@@ -82,46 +75,38 @@ def smith_normal_form(M: Sequence[Sequence[int]]) -> SmithNormalForm:
         if not nonzero:
             break
         _, p, q = min(nonzero)
-        A[t], A[p], U[t], U[p] = A[p], A[t], U[p], U[t]
-        for row in A + V:
+        A[t], A[p] = A[p], A[t]
+        for row in A:
             row[t], row[q] = row[q], row[t]
         d = A[t][t]
         for i in range(t + 1, n):
             if c := A[i][t] // d:
                 A[i] = [x - c * y for x, y in zip(A[i], A[t])]
-                U[i] = [x - c * y for x, y in zip(U[i], U[t])]
-        rows = A + V
         for j in range(t + 1, m):
             if c := A[t][j] // d:
-                for row in rows:
+                for row in A:
                     row[j] -= c * row[t]
         if any(A[i][t] for i in range(t + 1, n)) or any(A[t][t + 1 :]):
             continue
         bad = next((i for i in range(t + 1, n) if any(x % d for x in A[i])), None)
         if bad is not None:
             A[t] = [x + y for x, y in zip(A[t], A[bad])]
-            U[t] = [x + y for x, y in zip(U[t], U[bad])]
             continue
-        if d < 0:
-            A[t][t], U[t] = -d, [-x for x in U[t]]
+        A[t][t] = abs(d)
         t += 1
-    diag = tuple(A[i][i] for i in range(min(n, m)))
-    return SmithNormalForm(diag, tuple(map(tuple, U)), tuple(map(tuple, V)))
+    return tuple(A[i][i] for i in range(min(n, m)))
 
 
 def cokernel_invariants(M: Sequence[Sequence[int]], n_cols: int) -> tuple[int, ...]:
     """Invariant factors of Z^n_cols / row-span(M), in divisibility order.
 
-    Entries 0 denote infinite cyclic factors; unit factors are dropped.
+    They are read off the Smith normal form's diagonal.  Entries 0 denote
+    infinite cyclic factors; unit factors are dropped.
     """
     if not M:
         return (0,) * n_cols
-    snf = smith_normal_form(M)
-    diag = list(snf.diagonal)
-    nonzero = [d for d in diag if d != 0]
-    free_rank = n_cols - len(nonzero)
-    factors = [d for d in nonzero if d != 1] + [0] * free_rank
-    return tuple(factors)
+    nonzero = [d for d in smith_normal_form(M) if d]
+    return tuple(d for d in nonzero if d != 1) + (0,) * (n_cols - len(nonzero))
 
 
 # ---------------------------------------------------------------------------

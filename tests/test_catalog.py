@@ -354,3 +354,64 @@ def test_k1_policy():
     assert seifert_k1_trivial(SeifertInvariants(1, Epsilon.N2, 1)) is True  # finite, order 4
     assert seifert_k1_trivial(SeifertInvariants(0, Epsilon.O2, 1)) is None
     assert seifert_k1_trivial(SeifertInvariants(1, Epsilon.N1, 1)) is None
+
+
+# (epsilon, genus, exceptional fibers) -> (k1_trivial, goodness) at b = 0,
+# with no exceptional fiber or one (2:1).  Written from the docstrings: k1
+# is trivial when pi_1 is finite or the type is o1 of genus <= 1, goodness
+# is good when pi_1 is finite or the genus is at most 1 with chi >= 0, and
+# both stay undetermined otherwise.  pi_1 is finite only for o1 and n2 with
+# chi > 0 and e != 0, so here only with the fiber, where e = -1/2.
+POLICY_GRID = {
+    ("o1", 0, 0): (True, "good"),  # S^2 x S^1
+    ("o1", 0, 1): (True, "good"),  # finite: a lens space
+    ("o1", 1, 0): (True, "good"),  # the 3-torus
+    ("o1", 1, 1): (True, "unknown"),  # chi = -1/2
+    ("o1", 2, 0): (None, "unknown"),
+    ("o1", 2, 1): (None, "unknown"),
+    ("o2", 1, 0): (None, "good"),  # chi = 0
+    ("o2", 1, 1): (None, "unknown"),  # chi = -1/2
+    ("o2", 2, 0): (None, "unknown"),
+    ("o2", 2, 1): (None, "unknown"),
+    ("o2", 3, 0): (None, "unknown"),
+    ("o2", 3, 1): (None, "unknown"),
+    ("n1", 1, 0): (None, "good"),  # chi = 1
+    ("n1", 1, 1): (None, "good"),  # chi = 1/2
+    ("n1", 2, 0): (None, "unknown"),  # chi = 0, but genus 2
+    ("n1", 2, 1): (None, "unknown"),
+    ("n1", 3, 0): (None, "unknown"),
+    ("n1", 3, 1): (None, "unknown"),
+    ("n2", 1, 0): (None, "good"),  # chi = 1, but e = 0: infinite
+    ("n2", 1, 1): (True, "good"),  # finite: chi = 1/2, e = -1/2
+    ("n2", 2, 0): (None, "unknown"),  # chi = 0, but genus 2
+    ("n2", 2, 1): (None, "unknown"),
+    ("n2", 3, 0): (None, "unknown"),
+    ("n2", 3, 1): (None, "unknown"),
+    ("n3", 2, 0): (None, "unknown"),  # chi = 0, but genus 2
+    ("n3", 2, 1): (None, "unknown"),
+    ("n3", 3, 0): (None, "unknown"),
+    ("n3", 3, 1): (None, "unknown"),
+    ("n3", 4, 0): (None, "unknown"),
+    ("n3", 4, 1): (None, "unknown"),
+    ("n4", 3, 0): (None, "unknown"),
+    ("n4", 3, 1): (None, "unknown"),
+    ("n4", 4, 0): (None, "unknown"),
+    ("n4", 4, 1): (None, "unknown"),
+    ("n4", 5, 0): (None, "unknown"),
+    ("n4", 5, 1): (None, "unknown"),
+}
+
+
+def test_flag_policy_grid():
+    """Both flags on every base type, genus min to min + 2 and zero or one
+    exceptional fiber, equal ``POLICY_GRID``."""
+    got = {}
+    for eps in Epsilon:
+        for genus in range(eps.min_genus, eps.min_genus + 3):
+            for fibers in ((), ((2, 1),)):
+                s = SeifertInvariants(0, eps, genus, fibers)
+                got[eps.value, genus, len(fibers)] = (
+                    seifert_k1_trivial(s),
+                    seifert_goodness(s).value,
+                )
+    assert got == POLICY_GRID

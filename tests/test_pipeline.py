@@ -316,6 +316,13 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         ["analyze", "--seifert=0,o1,0,(2:1:3)"],
         ["analyze", "--seifert=x,o1,1"],
         ["analyze", "--seifert=0,o1,1.5"],
+        ["analyze", "--seifert=0,,o1,0"],
+        ["analyze", "--seifert=,0,o1,1"],
+        ["analyze", "--seifert=0,o1,1,"],
+        ["analyze", "--seifert=0,o1,0,(2:1"],
+        ["analyze", "--seifert=0,o1,0,2:1"],
+        ["analyze", "--seifert=0,o1,0,((2:1))"],
+        ["wh1", "--preset", "cyclic_4", "--gamma", "2,,3"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
@@ -324,6 +331,9 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         "repeated-section", "seifert-budget-0", "seifert-budget-negative",
         "z2-budget-0", "seifert-fiber-without-beta", "seifert-fiber-with-three-parts",
         "seifert-b-not-an-integer", "seifert-genus-not-an-integer",
+        "seifert-empty-eps", "seifert-empty-b", "seifert-trailing-comma",
+        "seifert-fiber-unclosed", "seifert-fiber-unparenthesized",
+        "seifert-fiber-double-parentheses", "gamma-empty-factor",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):
@@ -335,11 +345,11 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert r.stdout == ""
 
 
-@pytest.mark.parametrize("fiber", ["(2)", "(2:1:3)"])
+@pytest.mark.parametrize("fiber", ["(2)", "(2:1:3)", "", "(2:1", "2:1", "((2:1))"])
 def test_cli_malformed_seifert_fiber_names_it(fiber, capsys):
     assert main(["analyze", f"--seifert=0,o1,0,{fiber}"]) == 2
     err = capsys.readouterr().err
-    assert fiber in err and "(alpha:beta)" in err
+    assert f"seifert fiber {fiber!r}" in err and "(alpha:beta)" in err
 
 
 @pytest.mark.parametrize(
@@ -348,6 +358,9 @@ def test_cli_malformed_seifert_fiber_names_it(fiber, capsys):
         ("x,o1,1", ["seifert b 'x' is not an integer"]),
         ("0,o1,1.5", ["seifert genus g '1.5' is not an integer"]),
         ("0,zz,1", ["seifert base type eps 'zz'", "o1, o2, n1, n2, n3, n4"]),
+        (",0,o1,1", ["seifert b '' is not an integer"]),
+        ("0,,o1,0", ["seifert base type eps ''", "o1, o2, n1, n2, n3, n4"]),
+        ("0,o1,,(2:1)", ["seifert genus g '' is not an integer"]),
     ],
 )
 def test_cli_malformed_seifert_field_names_it(datum, named, capsys):
@@ -356,6 +369,22 @@ def test_cli_malformed_seifert_field_names_it(datum, named, capsys):
     for text in named + ["b,eps,g,(alpha:beta),..."]:
         assert text in err
     assert "invalid literal" not in err and "not a valid Epsilon" not in err
+
+
+def test_cli_seifert_whitespace_around_numbers_is_accepted(capsys):
+    assert run_cli(capsys, "analyze", "--seifert= -1 , o1 , 0 , ( 2 : 1 ) ,(2:1), (3: 1)") == (
+        run_cli(capsys, "analyze", "--seifert=-1,o1,0,(2:1),(2:1),(3:1)")
+    )
+
+
+@pytest.mark.parametrize(
+    "gamma, named",
+    [("", "gamma factor 1 ''"), ("2,,3", "gamma factor 2 ''"), ("2,x", "gamma factor 2 'x'")],
+)
+def test_cli_malformed_gamma_names_the_factor(gamma, named, capsys):
+    assert main(["wh1", "--preset", "cyclic_4", f"--gamma={gamma}"]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "invalid literal" not in err
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")

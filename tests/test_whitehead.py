@@ -1,9 +1,9 @@
 import itertools
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups
@@ -25,6 +25,7 @@ from conftest import (
     dihedral_group,
     group,
 )
+from snf_oracle import certified_smith_normal_form, fraction_det
 
 SMALL_CATALOG = [
     group((), ()),
@@ -48,28 +49,10 @@ FULL_CATALOG = SMALL_CATALOG + [binary_polyhedral_group(5)] + [
 # ---------------------------------------------------------------------------
 
 
-def fraction_det(mat):
-    mat = [[Fraction(x) for x in row] for row in mat]
-    k = len(mat)
-    d = Fraction(1)
-    for c in range(k):
-        piv = next((r for r in range(c, k) if mat[r][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            mat[c], mat[piv] = mat[piv], mat[c]
-            d = -d
-        d *= mat[c][c]
-        for r in range(c + 1, k):
-            f = mat[r][c] / mat[c][c]
-            mat[r] = [x - f * y for x, y in zip(mat[r], mat[c])]
-    return d
-
-
 def test_snf_hand_examples():
-    assert smith_normal_form([[2, 0], [0, 3]]).diagonal == (1, 6)
-    assert smith_normal_form([[0, 0], [0, 0]]).diagonal == (0, 0)
-    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]).diagonal == (1, 1, 1)
+    assert smith_normal_form([[2, 0], [0, 3]]) == (1, 6)
+    assert smith_normal_form([[0, 0], [0, 0]]) == (0, 0)
+    assert smith_normal_form([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == (1, 1, 1)
 
 
 def test_snf_certificate_500_random():
@@ -86,7 +69,7 @@ def test_snf_certificate_500_random():
         inputs.append([[sparse.choice(entries) for _ in range(30)] for _ in range(30)])
     for M in inputs:
         n, m = len(M), len(M[0])
-        s = smith_normal_form(M)
+        s = certified_smith_normal_form(M)
         assert all(x.bit_length() < 1000 for W in (s.U, s.V) for row in W for x in row)
         U = np.array(s.U, dtype=object)
         V = np.array(s.V, dtype=object)
@@ -103,6 +86,26 @@ def test_snf_certificate_500_random():
         assert all(d >= 0 for d in s.diagonal)
         assert abs(fraction_det(s.U)) == 1
         assert abs(fraction_det(s.V)) == 1
+        assert smith_normal_form(M) == s.diagonal
+
+
+@st.composite
+def int_matrices(draw):
+    """Dense matrices up to 10 x 10 and, on some draws, a sparse 30 x 30 or
+    40 x 40 matrix over (0, 0, 0, 0, 1, -1, 2) from a drawn seed."""
+    if draw(st.integers(0, 3)) == 0:
+        size = draw(st.sampled_from((30, 40)))
+        rnd = random.Random(draw(st.integers(0, 2**32)))
+        return [[rnd.choice((0, 0, 0, 0, 1, -1, 2)) for _ in range(size)] for _ in range(size)]
+    n, m = draw(st.integers(1, 10)), draw(st.integers(1, 10))
+    row = st.lists(st.integers(-30, 30), min_size=m, max_size=m)
+    return draw(st.lists(row, min_size=n, max_size=n))
+
+
+@settings(max_examples=500, deadline=None)
+@given(M=int_matrices())
+def test_snf_diagonal_equals_certified_oracle(M):
+    assert smith_normal_form(M) == certified_smith_normal_form(M).diagonal
 
 
 def test_cokernel_invariants():
