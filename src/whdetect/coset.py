@@ -5,9 +5,13 @@ union-find collapse.  Coset definition order is fixed (first undefined entry
 in row-major order), so completed tables are reproducible bit-for-bit.
 
 The working table is stored column-major: one list per generator and one per
-inverse, indexed by coset, with -1 for an undefined entry.  Each relator is
-resolved once into the column lists it reads, so scanning a letter is one
-subscript on a list, and the rows are read off the columns at the end.
+inverse, indexed by coset, with -1 for an undefined entry, and the rows are
+read off the columns at the end.  Each relator is split once, at its runs,
+into segments: stretches of letters, which a scan reads by iterating their
+column lists, and runs, which it crosses in one step where it can (below).
+Where the forward and backward reads of a scan stop, the cosets between are
+defined in one run.  The budget is tested only when the per-coset arrays
+grow, since they grow by doubling and never past it.
 
 Two shortcuts rest on one invariant: definitions only add edges and
 coincidence processing maps each edge to one between representatives, so a
@@ -42,6 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import length_hint
 from typing import Iterable, Sequence
 
 from .words import Presentation, Word
@@ -99,7 +104,7 @@ class _Enumerator:
     other per-coset array (see :meth:`per_coset`) hold ``size`` slots and
     grow together, doubling and never past the budget; a slot beyond the
     last coset is undefined.  They are only ever grown and written in place,
-    never replaced, so a relator resolved once into the lists it reads (see
+    never replaced, so a relator split once into the lists it reads (see
     :meth:`scan`) stays valid for the whole enumeration.
     Definitions, deductions and coincidences touch the same entries in the
     same order as they would on a table of one list per coset, so
@@ -127,6 +132,10 @@ class _Enumerator:
         return array
 
     def _grow(self) -> None:
+        """Double every per-coset array, up to the budget; raise the budget
+        error when they already hold the budget."""
+        if self.size == self.max_cosets:
+            raise EnumerationBudgetExceeded(f"coset budget {self.max_cosets} exhausted")
         add = min(self.size, self.max_cosets - self.size)
         for array, fill in self.arrays:
             array += fill * add
@@ -141,12 +150,12 @@ class _Enumerator:
         return a
 
     def define(self, a: int, col: list[int], inv_col: list[int]) -> int:
-        """Define the new coset b = a.x, where col and inv_col are x and x^-1."""
+        """Define the new coset b = a.x, where col and inv_col are x and x^-1.
+
+        The slots never outnumber the budget, so :meth:`_grow` raises the
+        budget error exactly when b would be the coset past the budget.
+        """
         b = len(self.parent)
-        if b >= self.max_cosets:
-            raise EnumerationBudgetExceeded(
-                f"coset budget {self.max_cosets} exhausted"
-            )
         if b == self.size:
             self._grow()
         self.parent.append(b)
@@ -154,19 +163,19 @@ class _Enumerator:
         inv_col[b] = a
         return b
 
-    def _merge(self, a: int, b: int) -> None:
-        a, b = self.rep(a), self.rep(b)
-        if a == b:
-            return
-        lo, hi = (a, b) if a < b else (b, a)
-        self.parent[hi] = lo
-        self.queue.append(hi)
-
     def coincidence(self, a: int, b: int) -> None:
-        cols = self.cols
-        self._merge(a, b)
-        while self.queue:
-            dead = self.queue.pop()
+        """Merge a and b and everything the merge forces, the lower number
+        surviving each merge.  A coset is passed to :meth:`rep` only when it
+        is not its own representative, and each merge is written inline."""
+        cols, parent, queue, rep = self.cols, self.parent, self.queue, self.rep
+        a, b = rep(a), rep(b)
+        if a != b:
+            lo, hi = (a, b) if a < b else (b, a)
+            parent[hi] = lo
+            queue.append(hi)
+        while queue:
+            dead = queue.pop()
+            mu = parent[dead]  # its representative is looked up below, when needed
             for c, col in enumerate(cols):
                 delta = col[dead]
                 if delta < 0:
@@ -175,89 +184,114 @@ class _Enumerator:
                 inv_col = cols[c ^ 1]
                 # drop the back-arrow from delta before rerouting
                 inv_col[delta] = -1
-                d = self.rep(delta)
-                mu = self.rep(dead)
-                existing = col[mu]
-                if existing >= 0:
-                    self._merge(d, existing)
-                else:
-                    back = inv_col[d]
-                    if back >= 0:
-                        self._merge(mu, back)
-                    else:
+                d = delta if parent[delta] == delta else rep(delta)
+                if parent[mu] != mu:
+                    mu = rep(mu)
+                x, y = d, col[mu]
+                if y < 0:
+                    x, y = mu, inv_col[d]
+                    if y < 0:
                         col[mu] = d
                         inv_col[d] = mu
+                        continue
+                # x, a representative, merges with y: d with mu.c, or mu with d.c^-1
+                if parent[y] != y:
+                    y = rep(y)
+                if x != y:
+                    lo, hi = (x, y) if x < y else (y, x)
+                    parent[hi] = lo
+                    queue.append(hi)
 
     def scan(self, alpha: int, relator: tuple) -> None:
         """Scan a relator at coset alpha, defining cosets as needed.
 
-        ``relator`` is ``(forward, backward, jumps)``.  ``forward`` and
-        ``backward`` hold, for each letter x in turn, the column list of x
-        and that of x^-1, so reading a letter in either direction is one
-        subscript.  ``jumps`` is None for a relator with no run to cross;
-        otherwise ``jumps[i]`` is None, or ``(start, end, cycle_of,
-        position, sign)`` when letter i lies in a run relator[start:end] of
-        the letter g^sign whose cycles :meth:`mark_cycle` records.  At a coset
-        on a recorded cycle the scan crosses what it has left of the run in
-        one step, to the representative of the coset that many places along
-        the cycle, which is where reading letter by letter would lead.
+        ``relator`` is ``(ahead, behind, forward, backward)``.  ``forward``
+        and ``backward`` hold, for each letter x in turn, the column list of
+        x and that of x^-1.  ``ahead`` splits the relator, in order, into
+        stretches of letters and runs, each ``(start, end, cols, run)`` for
+        relator[start:end] with ``cols`` its columns; ``run`` is None for a
+        stretch, and ``(cycle_of, position, sign)`` for a run of g^sign whose
+        cycles :meth:`mark_cycle` records.  ``behind`` is ``ahead`` reversed.
+        A stretch is read by iterating its columns, and so is a run at a
+        coset on no recorded cycle; from a coset on one, the run is crossed
+        in one step, to the representative of the coset that many places
+        along the cycle, which is where reading letter by letter leads.
+
+        The forward read from alpha ends at f, at the first undefined letter
+        i or after the whole relator, and then f and alpha coincide.  The
+        backward read from alpha ends at b, reading down to letter i at most
+        and crossing a run only that far; if it reads letter i, f and b
+        coincide.  Otherwise it stops at an undefined letter j >= i, the
+        cosets f.x_i ... f.x_(j-1) are defined in one run and letter j is
+        deduced.  By free reduction a fresh coset's next forward entry is
+        undefined, and the entry at j becomes defined only when b is the
+        coset just extended and x_j the inverse of the letter defined; the
+        run then reads letter j.  So every scan defines, deduces and merges
+        as plain HLT does.
         """
-        forward, backward, jumps = relator
-        f, b = alpha, alpha
-        i, j = 0, len(forward) - 1
-        while True:
-            while i <= j:
-                if jumps is not None:
-                    run = jumps[i]
-                    if run is not None:
-                        _, end, cycle_of, position, sign = run
-                        cycle = cycle_of[f]
-                        if cycle is not None:
-                            if end > j:
-                                end = j + 1
-                            f = cycle[(position[f] + sign * (end - i)) % len(cycle)]
-                            if self.parent[f] != f:
-                                f = self.rep(f)
-                            i = end
-                            continue
-                nxt = forward[i][f]
+        ahead, behind, forward, backward = relator
+        parent = self.parent
+        f = alpha
+        for start, end, cols, run in ahead:
+            cycle = None if run is None else run[0][f]
+            if cycle is not None:
+                f = cycle[(run[1][f] + run[2] * (end - start)) % len(cycle)]
+                if parent[f] != f:
+                    f = self.rep(f)
+                continue
+            letters = iter(cols)
+            for col in letters:
+                nxt = col[f]
                 if nxt < 0:
                     break
                 f = nxt
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i:
-                if jumps is not None:
-                    run = jumps[j]
-                    if run is not None:
-                        start, _, cycle_of, position, sign = run
-                        cycle = cycle_of[b]
-                        if cycle is not None:
-                            if start < i:
-                                start = i
-                            b = cycle[(position[b] - sign * (j + 1 - start)) % len(cycle)]
-                            if self.parent[b] != b:
-                                b = self.rep(b)
-                            j = start - 1
-                            continue
-                prev = backward[j][b]
-                if prev < 0:
-                    break
-                b = prev
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if j == i:
-                # deduction closing the scan
-                forward[i][f] = b
-                backward[i][b] = f
-                return
-            f = self.define(f, forward[i], backward[i])
+            else:
+                continue
+            # a list iterator knows how many letters it has left
+            i = end - 1 - length_hint(letters)
+            break
+        else:
+            if f != alpha:
+                self.coincidence(f, alpha)
+            return
+        b, j = alpha, len(backward) - 1
+        for start, end, _, run in behind:
+            if start < i:
+                start = i
+            cycle = None if run is None else run[0][b]
+            if cycle is not None:
+                b = cycle[(run[1][b] - run[2] * (end - start)) % len(cycle)]
+                if parent[b] != b:
+                    b = self.rep(b)
+                j = start - 1
+            else:
+                while j >= start:
+                    prev = backward[j][b]
+                    if prev < 0:
+                        break
+                    b = prev
+                    j -= 1
+            if j >= start or start == i:  # stopped, or read down to i
+                break
+        if j < i:
+            self.coincidence(f, b)
+            return
+        while i < j:
+            # f = self.define(f, forward[i], backward[i]), without the call
+            new = len(parent)
+            if new == self.size:
+                self._grow()
+            parent.append(new)
+            forward[i][f] = new
+            backward[i][new] = f
+            f = new
             i += 1
+            if backward[j][b] >= 0:  # b was just extended by x_j^-1, to f
+                b, j = f, j - 1
+        if i == j:
+            # deduction closing the scan
+            forward[i][f] = b
+            backward[i][b] = f
 
     def mark_cycle(
         self, alpha: int, period: list[list[int]], marks: bytearray,
@@ -273,16 +307,22 @@ class _Enumerator:
         from a live beta at place i, beta.g^m is the representative of
         ``cycle[(i + m) % len(cycle)]`` for every m.
         """
-        cycle = None if cycle_of is None else []
         beta = alpha
+        if len(period) > 1:  # only the cycles of a power of one generator are recorded
+            while True:
+                marks[beta] = 1
+                for col in period:
+                    beta = col[beta]
+                if beta == alpha:
+                    return
+        col, cycle = period[0], []
         while True:
             marks[beta] = 1
-            if cycle is not None:
+            if cycle_of is not None:
                 cycle_of[beta] = cycle
                 position[beta] = len(cycle)
                 cycle.append(beta)
-            for col in period:
-                beta = col[beta]
+            beta = col[beta]
             if beta == alpha:
                 return
 
@@ -301,8 +341,10 @@ class _Enumerator:
             index = [-1] * n
             for new, old in enumerate(live):
                 index[old] = new
+            parent, rep = self.parent, self.rep
             cols = [
-                [col[a] if col[a] < 0 else index[self.rep(col[a])] for a in live]
+                [b if b < 0 else index[b if parent[b] == b else rep(b)]
+                 for b in [col[a] for a in live]]
                 for col in cols
             ]
         if any(-1 in col for col in cols):
@@ -324,7 +366,7 @@ def enumerate_cosets(
     plain HLT, which scans every relator letter by letter at every live
     coset; the module docstring says why skipping the scans of a power at
     the cosets its cycles closed, and crossing a run in one step, change
-    neither.
+    neither, and :meth:`_Enumerator.scan` why defining in runs does not.
 
     Raises :class:`EnumerationBudgetExceeded` when more than ``max_cosets``
     working cosets would be needed (the group may be infinite), and
@@ -340,7 +382,8 @@ def enumerate_cosets(
         )
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    letters = [[_col(letter) for letter in r.letters] for r in p.relators]
+    # the column of each letter, as _col gives it
+    letters = [[2 * g + (s < 0) for g, s in r.letters] for r in p.relators]
     periods = [_proper_period(w) for w in letters]
     powered = {w[0] >> 1 for w, period in zip(letters, periods) if period == 1}
     # the runs of powered generators in each relator that is not a power g^N
@@ -356,16 +399,23 @@ def enumerate_cosets(
     for w, period, rs in zip(letters, periods, runs):
         forward = [cols[c] for c in w]
         backward = [cols[c ^ 1] for c in w]
-        jumps = [None] * len(w) if rs else None
-        for start, end in rs:
-            run = (start, end, *index[w[start] >> 1], -1 if w[start] & 1 else 1)
-            jumps[start:end] = [run] * (end - start)
+        # the stretches between the runs, and the runs
+        ahead, done = [], 0
+        for start, end in (*rs, (len(w), len(w))):
+            if done < start:
+                ahead.append((done, start, forward[done:start], None))
+            if start < end:
+                run = (*index[w[start] >> 1], -1 if w[start] & 1 else 1)
+                ahead.append((start, end, forward[start:end], run))
+            done = end
         marks = st.per_coset(bytearray(1)) if period else None
         # a power of g walks the column of g, the direction its places count in
         walk = [cols[w[0] & ~1]] if period == 1 else forward[:period]
         cycle = index.get(w[0] >> 1, (None, None)) if period == 1 else (None, None)
-        relators.append(((forward, backward, jumps), walk, marks, *cycle))
-    scan, mark_cycle = st.scan, st.mark_cycle
+        relators.append(((ahead, ahead[::-1], forward, backward), walk, marks, *cycle))
+    scan, mark_cycle, define = st.scan, st.mark_cycle, st.define
+    # each column with the column of the inverse letter
+    pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
     alpha = 0
     while alpha < len(parent):
         if parent[alpha] == alpha:
@@ -378,9 +428,9 @@ def enumerate_cosets(
                 if marks is not None:
                     mark_cycle(alpha, walk, marks, cycle_of, position)
             else:
-                for c, col in enumerate(cols):
+                for col, inv_col in pairs:
                     if col[alpha] < 0:
-                        st.define(alpha, col, cols[c ^ 1])
+                        define(alpha, col, inv_col)
         alpha += 1
     return st.rows()
 

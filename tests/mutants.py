@@ -1,0 +1,167 @@
+"""Mutation checks: each known defect must make the tier-1 suite fail.
+
+``MUTANTS`` lists deliberate defects of the coset enumerator, each as a file
+under ``src/``, the exact text it replaces and the text that replaces it.
+For each one the script copies ``src/`` to a temporary directory, applies
+the edit there and runs the tier-1 suite against the copy with ``pytest -x``
+under a time limit: first the tests named in the entry, the ones meant to
+kill it, then, if they pass, the whole suite.  The repository itself is
+never edited.  A mutant is *killed* when a test fails, *killed by the
+limit* when a run does not finish in time (a corrupted scan can loop for
+ever), and *survived* when every test passes.
+
+Run ``python tests/mutants.py`` from any directory; it exits 1 when a
+mutant survives, or cannot be applied or tested (an old text that does not
+occur exactly once, a named test that does not exist).  Tier-1 checks only
+that every old text still occurs exactly once and every named test exists
+(``tests/test_coset.py``), so that the list cannot rot silently; the six
+mutants here take 10–20 s together on a 2-vCPU host.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import signal
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+# seconds a pytest run may take; tier-1 takes well under a minute
+LIMIT = 300
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to src/
+    old: str
+    new: str
+    first: str  # the tests run before the whole suite: a file or a test id
+
+
+COSET = "whdetect/coset.py"
+COSET_TESTS = "tests/test_coset.py"
+
+MUTANTS = (
+    Mutant(
+        "jump skips rep",
+        COSET,
+        "                if parent[f] != f:\n"
+        "                    f = self.rep(f)\n",
+        "",
+        f"{COSET_TESTS}::test_jump_lands_on_a_live_coset",
+    ),
+    Mutant(
+        "power scan skipped once",
+        COSET,
+        "if marks is not None and marks[alpha]:",
+        "if marks is not None and (marks[alpha] or alpha == 0):",
+        f"{COSET_TESTS}::test_skip_matches_plain_hlt_on_catalog",
+    ),
+    Mutant(
+        "jump one place short",
+        COSET,
+        "f = cycle[(run[1][f] + run[2] * (end - start)) % len(cycle)]",
+        "f = cycle[(run[1][f] + run[2] * (end - start - 1)) % len(cycle)]",
+        COSET_TESTS,
+    ),
+    Mutant(
+        "definition run without its re-read",
+        COSET,
+        "            if backward[j][b] >= 0:  # b was just extended by x_j^-1, to f\n"
+        "                b, j = f, j - 1\n",
+        "",
+        f"{COSET_TESTS}::test_definition_run_rereads_the_backward_entry",
+    ),
+    Mutant(
+        "growth past the budget",
+        COSET,
+        "        if self.size == self.max_cosets:\n"
+        "            raise EnumerationBudgetExceeded("
+        'f"coset budget {self.max_cosets} exhausted")\n',
+        "",
+        COSET_TESTS,
+    ),
+    Mutant(
+        "merge keeps the higher number",
+        COSET,
+        "lo, hi = (x, y) if x < y else (y, x)",
+        "lo, hi = (y, x) if x < y else (x, y)",
+        COSET_TESTS,
+    ),
+)
+
+
+def occurrences(mutant: Mutant, src: Path = ROOT / "src") -> int:
+    return (src / mutant.file).read_text().count(mutant.old)
+
+
+def _pytest(paths: list[str], src: Path, cwd: Path) -> tuple[str, str]:
+    """Run tier-1 pytest on ``paths`` against ``src``: ("passed" | "failed" |
+    "timeout" | "error", the first failing test or the tail of the output).
+    Only pytest's exit status 1 means that tests ran and one failed."""
+    cmd = [
+        sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+        "--continue-on-collection-errors", "--rootdir", str(ROOT),
+        *(str(ROOT / p) for p in paths),
+    ]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    # a session of its own, so that ending it also ends the children of tests
+    proc = subprocess.Popen(
+        cmd, cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+        text=True, start_new_session=True,
+    )
+    try:
+        out, _ = proc.communicate(timeout=LIMIT)
+    except BaseException as exc:  # the limit, or the harness itself stopped
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        if isinstance(exc, subprocess.TimeoutExpired):
+            return "timeout", ""
+        raise
+    if proc.returncode == 0:
+        return "passed", ""
+    failed = [line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    # test ids as the suite prints them when run from the repository root
+    detail = failed[0] if failed else (out.strip().splitlines() or [""])[-1]
+    detail = detail.replace(os.path.relpath(ROOT, cwd) + os.sep, "")
+    return ("failed" if proc.returncode == 1 else "error"), detail
+
+
+def run(mutant: Mutant) -> str:
+    """The verdict on one mutant, as a line of the report."""
+    with tempfile.TemporaryDirectory(prefix="whdetect-mutant-") as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        count = occurrences(mutant, src)
+        if count != 1:
+            return f"NOT APPLIED  {mutant.name}: the old text occurs {count} times"
+        target = src / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+        for paths in ([mutant.first], ["tests"]):
+            status, detail = _pytest(paths, src, Path(tmp))
+            if status == "failed":
+                return f"killed       {mutant.name}: {detail}"
+            if status == "timeout":
+                return f"killed       {mutant.name}: by the {LIMIT} s limit on {' '.join(paths)}"
+            if status == "error":
+                return f"NOT RUN      {mutant.name}: {detail}"
+    return f"SURVIVED     {mutant.name}"
+
+
+def main() -> int:
+    # stopped by a signal, end the running suite too (see _pytest)
+    signal.signal(signal.SIGTERM, lambda *_: sys.exit(1))
+    bad = 0
+    for mutant in MUTANTS:
+        line = run(mutant)
+        print(line, flush=True)
+        bad += not line.startswith("killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import Phase, given, settings, strategies as st
 
 import enumeration_digest
+import mutants
 from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups, cyclic, dicyclic
 from whdetect.coset import (
@@ -354,18 +355,23 @@ def test_power_relator_scanned_once_per_cycle(monkeypatch):
 
 def test_every_scan_goes_through_a_scan_method(monkeypatch):
     """Every dicyclic relator is scanned through the patched method, and
-    only x^2 a^-ell carries jumps, over its run a^-ell, however short: a^(2
-    ell) is the power whose cycles are recorded, x has no power and x^-1 a
-    x a has no run.  The relators are told apart by their first scans, at
-    coset 0 in presentation order."""
+    only x^2 a^-ell has a run to cross, a^-ell, however short: a^(2 ell)
+    is the power whose cycles are recorded, x has no power and x^-1 a x a
+    has no run.  Each relator is split into segments, (length, crossed)
+    below, and the relators are told apart by their first scans, at coset
+    0 in presentation order."""
     calls = _count_scans(monkeypatch)
     for ell in (2, 3, 50):
         calls.clear()
         assert len(enumerate_cosets(dicyclic(ell))) == 4 * ell
         crossed = {}
-        for forward, _, jumps in calls:
-            crossed.setdefault(id(forward), jumps and [run is not None for run in jumps])
-        assert list(crossed.values()) == [None, [False] * 2 + [True] * ell, None]
+        for segments, *_ in calls:
+            crossed.setdefault(id(segments), [
+                (end - start, run is not None) for start, end, _, run in segments
+            ])
+        assert list(crossed.values()) == [
+            [(2 * ell, False)], [(2, False), (ell, True)], [(4, False)]
+        ]
         assert len(calls) > 4 * ell  # x^2 a^-ell and x^-1 a x a at every live coset
 
 
@@ -459,6 +465,10 @@ def syllable_presentations(draw):
 )
 @given(p=syllable_presentations(), budget=st.integers(1, 3000))
 def test_jumps_match_plain_hlt(p, budget):
+    assert_matches_plain_hlt(p, budget)
+
+
+def assert_matches_plain_hlt(p, budget):
     """Rows, or exception type and message, equal plain HLT's.  Where plain
     HLT completes, the enumeration is first run at the number of cosets
     plain HLT defined, the least budget that lets it complete: a scan that
@@ -468,6 +478,28 @@ def test_jumps_match_plain_hlt(p, budget):
         expected, defined = expected
         assert outcome(enumerate_cosets, p, defined) == expected
     assert outcome(enumerate_cosets, p, budget) == expected
+
+
+# relators that are not cyclically reduced; the last two presentations are
+# the enumeration digest's "power 2" and "power 14", with a, b for g0, g1
+NOT_CYCLICALLY_REDUCED = {
+    "b-a3-b": ["b^-1 a^-3 b", "b^4"],
+    "power-2": ["b^-1", "a^-1" + " b a" * 7 + " a", "b^7", "b^-9"],
+    "power-14": ["b^-1 a b", "b^-7", " ".join(["b a^-1 b"] * 4), "b^-1 a b a^-1"],
+}
+
+
+@pytest.mark.parametrize("budget", [150, 3_000])
+@pytest.mark.parametrize(
+    "relators", NOT_CYCLICALLY_REDUCED.values(), ids=NOT_CYCLICALLY_REDUCED.keys()
+)
+def test_definition_run_rereads_the_backward_entry(relators, budget):
+    """A definition in a scan's definition run can also define the entry
+    where the backward scan stopped: when b is the coset extended and x_j
+    is the inverse of the letter defined, as at the ends of b^-1 a^-3 b.
+    A run that did not read that entry would define a coset more, and
+    "power-2" and "power-14" would exhaust both budgets."""
+    assert_matches_plain_hlt(make_presentation(["a", "b"], relators), budget)
 
 
 FOLDING = ["a^27", "a^18", "b^-1 a^-6 b a", "b^3"]
@@ -506,6 +538,17 @@ def test_enumeration_digest_is_pinned():
     assert enumeration_digest.digest(enumeration_digest.inputs(sample=True)) == (
         enumeration_digest.SAMPLE
     )
+
+
+def test_enumerator_mutants_apply_once():
+    """Every mutant that ``tests/mutants.py`` applies still finds its old
+    text exactly once in the source, so the harness mutates what it names,
+    and the tests it runs first still exist."""
+    assert mutants.MUTANTS
+    for mutant in mutants.MUTANTS:
+        assert mutants.occurrences(mutant) == 1, mutant.name
+        path, _, test = mutant.first.partition("::")
+        assert f"def {test}(" in (mutants.ROOT / path).read_text() or not test, mutant.name
 
 
 def test_enumeration_deterministic():

@@ -426,6 +426,26 @@ def test_cli_oversized_input_is_refused_before_allocating(argv, tmp_path):
     assert r.stderr.startswith("whdetect: error: ")
 
 
+@pytest.mark.parametrize(
+    "argv, verdict",
+    [
+        (["analyze", "--presentation", "Z2", "--budget", "100000000"], "preconditions_unmet"),
+        (["analyze", "--seifert=0,o1,1", "--budget", "100000000"], "detectable"),
+    ],
+    ids=["z2", "seifert-0-o1-1"],
+)
+def test_cli_budget_limit_applies_when_an_input_is_enumerated(argv, verdict, tmp_path, capsys):
+    """The coset budget that the (2,3,7) triangle group is refused at above
+    reports an input that is certified infinite before any table is
+    allocated: Z^2 by its abelianization, the 3-torus 0,o1,1 by the Seifert
+    rule."""
+    (tmp_path / "Z2").write_text("gens: a, b; rels: a b a^-1 b^-1")
+    code, out = run_cli(capsys, *[str(tmp_path / a) if a == "Z2" else a for a in argv])
+    assert code == 0
+    report = json.loads(out)
+    assert report["verdict"] == verdict and report["order"] is None
+
+
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="RLIMIT_AS bounds the heap on Linux")
 def test_cli_steinberg_eval_on_order_10000_fits_in_512_mib():
     """The full multiplication table of dicyclic order 10000 would need
