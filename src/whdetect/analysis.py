@@ -24,7 +24,6 @@ class ConjugacyProfile:
     """
 
     classes: tuple[tuple[int, ...], ...]
-    class_of: tuple[int, ...]
     inversion_perm: tuple[int, ...]
 
     @property
@@ -63,10 +62,12 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
 
     Conjugating by the group generators alone suffices since they generate,
     one permutation per distinct generator image; this beats the naive
-    all-pairs loop, which the tests keep as an oracle.
+    all-pairs loop, which the tests keep as an oracle.  Each class is sorted
+    and the classes are numbered by their least elements, so the direction
+    of conjugation does not matter.
     """
     perms = {
-        img: G.conjugation(g, 1) for g, img in enumerate(G.generator_images)
+        img: G.conjugation(g) for g, img in enumerate(G.generator_images)
     }.values()
     class_of = [-1] * G.order
     classes: list[tuple[int, ...]] = []
@@ -84,7 +85,7 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
                     orbit.append(h)
         classes.append(tuple(sorted(orbit)))
     inversion = tuple(class_of[G.inv[cls[0]]] for cls in classes)
-    return ConjugacyProfile(tuple(classes), tuple(class_of), inversion)
+    return ConjugacyProfile(tuple(classes), inversion)
 
 
 def is_ambivalent(

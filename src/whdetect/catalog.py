@@ -32,6 +32,10 @@ class SeifertError(ValueError):
     pass
 
 
+class PresetError(ValueError):
+    """A preset name that no catalog family holds."""
+
+
 class Epsilon(str, enum.Enum):
     """Base-orbifold type of a Seifert fibration (o = orientable base)."""
 
@@ -264,41 +268,36 @@ def binary_polyhedral(p: int) -> Presentation:
     )
 
 
-def _cyclic_entry(m: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=f"cyclic_{m}", presentation=cyclic(m), known_order=m,
-        expected_ambivalent=m <= 2,
-    )
-
-
-def _dicyclic_entry(ell: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=f"dicyclic_{4 * ell}", presentation=dicyclic(ell), known_order=4 * ell,
-        expected_ambivalent=ell % 2 == 0,
-    )
-
-
-def _dihedral_entry(k: int) -> CatalogEntry:
-    return CatalogEntry(
-        name=f"dihedral_{2 * k}", presentation=dihedral(k), known_order=2 * k,
-        expected_ambivalent=True, three_manifold=False,
-    )
-
-
-# parameter p of binary_polyhedral(p) -> (name, order, ambivalent)
-_BINARY_POLYHEDRAL = {
-    3: ("binary_tetrahedral_24", 24, False),
-    4: ("binary_octahedral_48", 48, True),
-    5: ("binary_icosahedral_120", 120, True),
+# family -> (order per parameter, least parameter, presentation builder,
+# whether the member of a parameter is ambivalent, three_manifold)
+_FAMILIES = {
+    "cyclic": (1, 1, cyclic, lambda m: m <= 2, True),
+    "dicyclic": (4, 1, dicyclic, lambda ell: ell % 2 == 0, True),
+    "dihedral": (2, 2, dihedral, lambda k: True, False),
 }
 
 
-def _binary_polyhedral_entry(p: int) -> CatalogEntry:
-    name, order, amb = _BINARY_POLYHEDRAL[p]
+def _member(family: str, n: int) -> CatalogEntry:
+    """The entry of the family's member with parameter n."""
+    unit, _, build, ambivalent, three_manifold = _FAMILIES[family]
     return CatalogEntry(
-        name=name, presentation=binary_polyhedral(p), known_order=order,
-        expected_ambivalent=amb,
+        name=f"{family}_{unit * n}", presentation=build(n), known_order=unit * n,
+        expected_ambivalent=ambivalent(n), three_manifold=three_manifold,
     )
+
+
+# the three binary polyhedral groups by name, each built once
+_BINARY_POLYHEDRAL = {
+    name: CatalogEntry(
+        name=name, presentation=binary_polyhedral(p), known_order=order,
+        expected_ambivalent=ambivalent,
+    )
+    for name, p, order, ambivalent in (
+        ("binary_tetrahedral_24", 3, 24, False),
+        ("binary_octahedral_48", 4, 48, True),
+        ("binary_icosahedral_120", 5, 120, True),
+    )
+}
 
 
 # the largest max_order builtin_groups accepts: the relators of its entries
@@ -316,23 +315,13 @@ def builtin_groups(max_order: int) -> list[CatalogEntry]:
     """
     if not 1 <= max_order <= MAX_CATALOG_ORDER:
         raise ValueError(f"max_order must be in 1..{MAX_CATALOG_ORDER}")
-    entries = [_cyclic_entry(m) for m in range(1, max_order + 1)]
-    entries += [_dicyclic_entry(ell) for ell in range(1, max_order // 4 + 1)]
-    entries += [
-        _binary_polyhedral_entry(p)
-        for p, (_, order, _) in _BINARY_POLYHEDRAL.items()
-        if order <= max_order
-    ]
-    entries += [_dihedral_entry(k) for k in range(2, min(max_order // 2, 12) + 1)]
+    entries = [_member("cyclic", m) for m in range(1, max_order + 1)]
+    entries += [_member("dicyclic", ell) for ell in range(1, max_order // 4 + 1)]
+    entries += [e for e in _BINARY_POLYHEDRAL.values() if e.known_order <= max_order]
+    entries += [_member("dihedral", k) for k in range(2, min(max_order // 2, 12) + 1)]
     return entries
 
 
-# family -> (order per unit of the parameter, least parameter, entry builder)
-_FAMILIES = {
-    "cyclic": (1, 1, _cyclic_entry),
-    "dicyclic": (4, 1, _dicyclic_entry),
-    "dihedral": (2, 2, _dihedral_entry),
-}
 _FAMILY_MEMBER = re.compile(r"([a-z]+)_([1-9][0-9]*)")
 
 
@@ -341,17 +330,17 @@ def get_preset(name: str) -> CatalogEntry:
 
     Every member of the cyclic, dicyclic and dihedral families is accepted,
     also beyond :func:`builtin_groups`; a name that list holds gives its entry.
+    Raises :class:`PresetError` for any other name.
     """
-    for p, (binary_name, _, _) in _BINARY_POLYHEDRAL.items():
-        if name == binary_name:
-            return _binary_polyhedral_entry(p)
+    if name in _BINARY_POLYHEDRAL:
+        return _BINARY_POLYHEDRAL[name]
     match = _FAMILY_MEMBER.fullmatch(name)
     if match and match.group(1) in _FAMILIES:
-        unit, least, build = _FAMILIES[match.group(1)]
+        unit, least = _FAMILIES[match.group(1)][:2]
         param, rest = divmod(int(match.group(2)), unit)
         if rest == 0 and param >= least:
-            return build(param)
-    raise KeyError(f"unknown preset {name!r}")
+            return _member(match.group(1), param)
+    raise PresetError(f"unknown preset {name!r}")
 
 
 def seifert_goodness(s: SeifertInvariants) -> Goodness:

@@ -230,11 +230,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except KeyError as exc:  # unknown preset name
-        print(f"whdetect: error: {exc.args[0]}", file=sys.stderr)
     except (ValueError, EnumerationBudgetExceeded, OSError) as exc:
-        # a malformed datum, factor list, word or action, a budget too
-        # small, or an unreadable file
+        # an unknown preset, a malformed datum, factor list, word or action,
+        # a budget too small, or an unreadable file
         print(f"whdetect: error: {exc}", file=sys.stderr)
     return 2
 

@@ -476,11 +476,10 @@ class FiniteGroupRealization:
             row[b] = table[row[a]][c]
         return row
 
-    def conjugation(self, g: int, s: int) -> list[int]:
-        """The permutation b -> x^-1 b x for the generator letter x = g^s."""
-        col = _col((g, s))
-        table = self.table
-        return [table[c][col] for c in self.left(table[0][col ^ 1])]
+    def conjugation(self, g: int) -> list[int]:
+        """The permutation b -> g b g^-1 for the presentation generator g."""
+        table, col = self.table, 2 * g + 1  # the column of g^-1, after g's
+        return [table[c][col] for c in self.left(table[0][col - 1])]
 
     def element_names(self, elements: Iterable[int]) -> dict[int, str]:
         """The display name of each given element: its word along the tree,

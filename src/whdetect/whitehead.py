@@ -113,6 +113,10 @@ def cokernel_invariants(M: Sequence[Sequence[int]], n_cols: int) -> tuple[int, .
 # Coefficient systems and Wh1
 # ---------------------------------------------------------------------------
 
+# the most invariant factors (generators) Gamma may have: every action matrix
+# is r x r, so the time of wh1_general grows as r^3
+MAX_GAMMA_RANK = 32
+
 
 @dataclass(frozen=True)
 class CoefficientSystem:
@@ -189,9 +193,15 @@ def check_action_consistency(
     matrix must reach the identity, modulo Gamma's torsion, within as many
     powers as its generator's order in pi, and the products along every
     defining relator of pi must be the identity.  Raises
-    :class:`CoefficientError` otherwise, and for a negative invariant factor.
+    :class:`CoefficientError` otherwise, for a negative invariant factor, and
+    for more than ``MAX_GAMMA_RANK`` invariant factors of Gamma, before any
+    matrix is built.
     """
     r, factors = coeff.rank, coeff.invariant_factors
+    if r > MAX_GAMMA_RANK:
+        raise CoefficientError(
+            f"Gamma has {r} invariant factors, more than {MAX_GAMMA_RANK}"
+        )
     if any(f < 0 for f in factors):
         raise CoefficientError(f"invariant factors must be nonnegative: {factors}")
     n_gens = len(G.generator_images)
@@ -267,7 +277,7 @@ def wh1_general(
     steps: dict[int, tuple[list[int], tuple[IntMatrix, IntMatrix]]] = {}
     for g, (img, pair) in enumerate(zip(G.generator_images, actions)):
         if img and img not in steps:  # conjugating by the identity relates nothing
-            steps[img] = (G.conjugation(g, -1), pair)  # y -> s y s^-1
+            steps[img] = (G.conjugation(g), pair)  # y -> s y s^-1
     cokernels: dict[frozenset, tuple[int, ...]] = {}
     tree: dict[int, tuple[IntMatrix, IntMatrix]] = {}  # y -> (P_y, P_y^-1)
     summands: list[int] = []

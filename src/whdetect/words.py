@@ -36,14 +36,11 @@ _NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9']*")
 
 @dataclass(frozen=True)
 class Generator:
-    """A named generator with a dense index into the alphabet."""
+    """A named generator; its index is its place in the alphabet."""
 
-    index: int
     name: str
 
     def __post_init__(self) -> None:
-        if self.index < 0:
-            raise PresentationError(f"generator index must be >= 0, got {self.index}")
         if not _NAME.fullmatch(self.name):
             raise PresentationError(
                 f"generator name {self.name!r} does not match {_NAME.pattern}"
@@ -120,7 +117,7 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
     :class:`WordError` before expanding a power that would take the word
     past ``MAX_WORD_LETTERS`` letters.
     """
-    by_name = {g.name: g.index for g in alphabet}
+    by_name = {g.name: i for i, g in enumerate(alphabet)}
     letters: list[Letter] = []
     pos = 0
     text = text.strip()
@@ -162,9 +159,6 @@ class Presentation:
         names = [g.name for g in self.generators]
         if len(set(names)) != len(names):
             raise PresentationError(f"duplicate generator names in {names}")
-        for i, g in enumerate(self.generators):
-            if g.index != i:
-                raise PresentationError("generator indices must be dense 0..n-1")
         n = len(self.generators)
         for r in self.relators:
             if r.max_generator() >= n:
@@ -189,7 +183,7 @@ def make_presentation(gen_names: Sequence[str], relator_texts: Sequence[str]) ->
     relator u v^-1.  The relators may hold ``MAX_WORD_LETTERS`` letters in
     all, after free reduction.
     """
-    gens = tuple(Generator(i, n) for i, n in enumerate(gen_names))
+    gens = tuple(Generator(n) for n in gen_names)
     rels = []
     total = 0
     for t in relator_texts:

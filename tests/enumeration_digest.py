@@ -104,7 +104,7 @@ def _syllable(rng: random.Random) -> Presentation:
 
 
 def _presentation(rank: int, relators: list[Word]) -> Presentation:
-    gens = tuple(Generator(i, f"g{i}") for i in range(rank))
+    gens = tuple(Generator(f"g{i}") for i in range(rank))
     return Presentation(gens, tuple(r for r in relators if r))
 
 

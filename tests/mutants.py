@@ -1,21 +1,24 @@
 """Mutation checks: each known defect must make the tier-1 suite fail.
 
-``MUTANTS`` lists deliberate defects of the coset enumerator, each as a file
-under ``src/``, the exact text it replaces and the text that replaces it.
+``MUTANTS`` lists deliberate defects of the coset enumerator, the verdict
+gate, the Seifert flag policies, the class pairs and the Wh1 algebra, each
+as a file under ``src/``, the exact text it replaces and the text that
+replaces it.
 For each one the script copies ``src/`` to a temporary directory, applies
 the edit there and runs the tier-1 suite against the copy with ``pytest -x``
 under a time limit: first the tests named in the entry, the ones meant to
 kill it, then, if they pass, the whole suite.  The repository itself is
-never edited.  A mutant is *killed* when a test fails, *killed by the
-limit* when a run does not finish in time (a corrupted scan can loop for
-ever), and *survived* when every test passes.
+never edited.  A mutant is *killed* when a test fails or runs past the
+per-test limit, *killed by the limit* when a whole run does not finish in
+time (a corrupted scan can loop for ever), and *survived* when every test
+passes.
 
 Run ``python tests/mutants.py`` from any directory; it exits 1 when a
 mutant survives, or cannot be applied or tested (an old text that does not
 occur exactly once, a named test that does not exist).  Tier-1 checks only
 that every old text still occurs exactly once and every named test exists
-(``tests/test_coset.py``), so that the list cannot rot silently; the six
-mutants here take 10–20 s together on a 2-vCPU host.
+(``tests/test_coset.py``), so that the list cannot rot silently; the twenty
+mutants here take about 25 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -44,6 +47,12 @@ class Mutant(NamedTuple):
 
 COSET = "whdetect/coset.py"
 COSET_TESTS = "tests/test_coset.py"
+CATALOG = "whdetect/catalog.py"
+CATALOG_TESTS = "tests/test_catalog.py"
+PIPELINE = "whdetect/pipeline.py"
+PIPELINE_TESTS = "tests/test_pipeline.py"
+WHITEHEAD = "whdetect/whitehead.py"
+WHITEHEAD_TESTS = "tests/test_whitehead.py"
 
 MUTANTS = (
     Mutant(
@@ -92,6 +101,108 @@ MUTANTS = (
         "lo, hi = (y, x) if x < y else (x, y)",
         COSET_TESTS,
     ),
+    # the verdict gate and the Seifert flag policies
+    Mutant(
+        "a k1 of None passes the gate",
+        PIPELINE,
+        "if k1_trivial is not True or goodness is not Goodness.GOOD:",
+        "if k1_trivial is False or goodness is not Goodness.GOOD:",
+        f"{PIPELINE_TESTS}::test_verdict_gating_property",
+    ),
+    Mutant(
+        "unknown goodness passes the gate",
+        PIPELINE,
+        "if k1_trivial is not True or goodness is not Goodness.GOOD:",
+        "if k1_trivial is not True:",
+        f"{PIPELINE_TESTS}::test_verdict_gating_property",
+    ),
+    Mutant(
+        "chi >= 0 made strict in the goodness policy",
+        CATALOG,
+        "orbifold_euler_characteristic(s) >= 0",
+        "orbifold_euler_characteristic(s) > 0",
+        f"{CATALOG_TESTS}::test_flag_policy_grid",
+    ),
+    Mutant(
+        "k1 trivial for every orientable base",
+        CATALOG,
+        "(s.epsilon is Epsilon.O1 and s.genus <= 1)",
+        "(s.epsilon.orientable_base and s.genus <= 1)",
+        f"{CATALOG_TESTS}::test_flag_policy_grid",
+    ),
+    Mutant(
+        "k1 trivial up to genus 2",
+        CATALOG,
+        "(s.epsilon is Epsilon.O1 and s.genus <= 1)",
+        "(s.epsilon is Epsilon.O1 and s.genus <= 2)",
+        f"{CATALOG_TESTS}::test_flag_policy_grid",
+    ),
+    Mutant(
+        "goodness up to genus 2",
+        CATALOG,
+        "(s.genus <= 1 and orbifold_euler_characteristic(s) >= 0)",
+        "(s.genus <= 2 and orbifold_euler_characteristic(s) >= 0)",
+        f"{CATALOG_TESTS}::test_flag_policy_grid",
+    ),
+    Mutant(
+        "the lemma's fiber order > 2 made >= 2",
+        CATALOG,
+        "res.order > 2",
+        "res.order >= 2",
+        f"{CATALOG_TESTS}::test_lemma74_inconclusive_cases",
+    ),
+    Mutant(
+        "the fiber central for o2",
+        CATALOG,
+        "return self in (Epsilon.O1, Epsilon.N1)",
+        "return self in (Epsilon.O1, Epsilon.O2, Epsilon.N1)",
+        f"{CATALOG_TESTS}::test_fiber_central_for_o1_n1_only",
+    ),
+    Mutant(
+        "spherical without e != 0",
+        CATALOG,
+        "            and euler_number(self) != 0\n",
+        "",
+        f"{CATALOG_TESTS}::test_fiber_order_rule_infinite_cases",
+    ),
+    Mutant(
+        "any lemma verdict certifies",
+        PIPELINE,
+        "certified = verdict74 is Lemma74Verdict.NOT_AMBIVALENT",
+        "certified = verdict74 is not None",
+        "tests/test_golden.py::test_reports_match_golden",
+    ),
+    # the class pairs and the invariant factors
+    Mutant(
+        "a self-inverse class paired with itself",
+        "whdetect/analysis.py",
+        "if c < cbar",
+        "if c <= cbar",
+        "tests/test_analysis.py",
+    ),
+    Mutant(
+        "the Smith normal form without its non-divisor step",
+        WHITEHEAD,
+        "        if bad is not None:\n"
+        "            A[t] = [x + y for x, y in zip(A[t], A[bad])]\n"
+        "            continue\n",
+        "",
+        f"{WHITEHEAD_TESTS}::test_snf_diagonal_equals_certified_oracle",
+    ),
+    Mutant(
+        "the invariant chain keeps the product, not the lcm",
+        WHITEHEAD,
+        "a // g * b",
+        "a * b",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
+    Mutant(
+        "the action's relators unchecked",
+        WHITEHEAD,
+        "    for rel in G.source.relators:\n        acc = _identity(r)\n",
+        "    for rel in ():\n        acc = _identity(r)\n",
+        f"{WHITEHEAD_TESTS}::test_action_breaking_a_relator_rejected",
+    ),
 )
 
 
@@ -125,6 +236,8 @@ def _pytest(paths: list[str], src: Path, cwd: Path) -> tuple[str, str]:
     if proc.returncode == 0:
         return "passed", ""
     failed = [line for line in out.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    if not failed and "Timeout (" in out:  # faulthandler_timeout in pyproject.toml
+        failed = ["a test ran past the per-test time limit"]
     # test ids as the suite prints them when run from the repository root
     detail = failed[0] if failed else (out.strip().splitlines() or [""])[-1]
     detail = detail.replace(os.path.relpath(ROOT, cwd) + os.sep, "")

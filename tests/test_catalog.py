@@ -13,6 +13,7 @@ from whdetect.catalog import (
     FiberOrder,
     Goodness,
     Lemma74Verdict,
+    PresetError,
     SeifertError,
     SeifertInvariants,
     builtin_groups,
@@ -301,7 +302,7 @@ def test_get_preset():
     e = get_preset("dicyclic_12")
     assert isinstance(e, CatalogEntry)
     assert e.known_order == 12 and e.expected_ambivalent is False
-    with pytest.raises(KeyError):
+    with pytest.raises(PresetError):
         get_preset("nope")
 
 
@@ -325,7 +326,7 @@ def test_get_preset_accepts_larger_members():
      "dihedral_2", "cyclic_", "cyclic_-3", "cyclic_\u0663", "Cyclic_4", " cyclic_4"],
 )
 def test_get_preset_rejects_non_canonical_names(name):
-    with pytest.raises(KeyError):
+    with pytest.raises(PresetError):
         get_preset(name)
 
 

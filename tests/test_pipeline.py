@@ -345,6 +345,19 @@ def test_cli_input_error_is_one_line_exit_2(argv):
     assert r.stdout == ""
 
 
+def test_cli_key_error_in_a_command_is_not_an_input_error(monkeypatch):
+    """Only input errors become a one-line exit 2: a KeyError raised inside
+    a command, such as an element index out of range, leaves ``main``."""
+    from whdetect import cli
+
+    def out_of_range(*args, **kwargs):
+        raise KeyError(7)
+
+    monkeypatch.setattr(cli, "analyze", out_of_range)
+    with pytest.raises(KeyError):
+        main(["analyze", "--preset", "cyclic_4"])
+
+
 @pytest.mark.parametrize("fiber", ["(2)", "(2:1:3)", "", "(2:1", "2:1", "((2:1))"])
 def test_cli_malformed_seifert_fiber_names_it(fiber, capsys):
     assert main(["analyze", f"--seifert=0,o1,0,{fiber}"]) == 2
@@ -397,10 +410,12 @@ def test_cli_malformed_gamma_names_the_factor(gamma, named, capsys):
         ["analyze", "--seifert=100000000,o1,0,(2:1),(3:1),(5:1)"],
         ["analyze", "--seifert", "0,o1,100000000"],
         ["analyze", "--presentation", "TRIANGLE", "--budget", "100000000"],
+        ["wh1", "--preset", "cyclic_3", "--gamma=" + ",".join(["0"] * 10000)],
     ],
     ids=[
         "power-a^100000000", "catalog-order-20000", "steinberg-dimension-100000",
         "seifert-b-100000000", "seifert-genus-100000000", "budget-100000000",
+        "gamma-rank-10000",
     ],
 )
 def test_cli_oversized_input_is_refused_before_allocating(argv, tmp_path):
@@ -538,7 +553,7 @@ def _redundant(p, draw):
 def _rename(p, draw):
     """Give the generators fresh names in a new order."""
     perm = draw(st.permutations(range(p.rank)))  # old index -> new index
-    gens = tuple(Generator(k, f"t{k}") for k in range(p.rank))
+    gens = tuple(Generator(f"t{k}") for k in range(p.rank))
     rels = tuple(Word(tuple((perm[g], s) for g, s in r.letters)) for r in p.relators)
     return Presentation(gens, rels)
 

@@ -9,6 +9,7 @@ from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups
 from whdetect.coset import realize_presentation
 from whdetect.whitehead import (
+    MAX_GAMMA_RANK,
     CoefficientError,
     CoefficientSystem,
     check_action_consistency,
@@ -400,11 +401,18 @@ def test_inconsistent_action_rejected(monkeypatch):
         CoefficientSystem((0, 0, 0), (((1, 1, 0), (0, 1, 1), (0, 0, 1)),)),
         # invariant factors are nonnegative
         CoefficientSystem((2, -3)),
+        # more invariant factors than the bound, refused before any matrix
+        CoefficientSystem((2,) * (MAX_GAMMA_RANK + 1)),
     ):
         products.clear()
         with pytest.raises(CoefficientError):
             check_action_consistency(G, bad)
         assert len(products) <= 2
+
+
+def test_gamma_of_the_largest_rank_is_accepted():
+    coeff = CoefficientSystem((2,) * MAX_GAMMA_RANK)
+    assert wh1_general(cyclic_group(2), coeff).invariant_factors == (2,) * MAX_GAMMA_RANK
 
 
 @pytest.mark.parametrize(
@@ -434,6 +442,15 @@ def test_action_shape_rejected(coeff):
 def test_action_not_endomorphism_rejected(G, coeff):
     with pytest.raises(CoefficientError, match="not an endomorphism"):
         wh1_general(G, coeff)
+
+
+def test_action_breaking_a_relator_rejected():
+    """r acts on Z^2 by a rotation of order 3 and s trivially: each matrix
+    has the order of its generator and is an endomorphism, but the relator
+    s r s r acts as r^2."""
+    coeff = CoefficientSystem((0, 0), (((0, -1), (1, -1)), ((1, 0), (0, 1))))
+    with pytest.raises(CoefficientError, match="does not respect relator"):
+        wh1_general(dihedral_group(3), coeff)
 
 
 def test_sign_action_consistent():
