@@ -120,6 +120,9 @@ class _Enumerator:
         self.cols: list[list[int]] = [
             self.per_coset([-1]) for _ in range(2 * n_generators)
         ]
+        # each column with the column of the inverse letter, set by the caller
+        # once the columns are final
+        self.pairs: list[tuple[list[int], list[int]]] = []
 
     def per_coset(self, fill: list | bytearray) -> list | bytearray:
         """A new array of one slot per coset, grown with every other one.
@@ -167,7 +170,7 @@ class _Enumerator:
         """Merge a and b and everything the merge forces, the lower number
         surviving each merge.  A coset is passed to :meth:`rep` only when it
         is not its own representative, and each merge is written inline."""
-        cols, parent, queue, rep = self.cols, self.parent, self.queue, self.rep
+        pairs, parent, queue, rep = self.pairs, self.parent, self.queue, self.rep
         a, b = rep(a), rep(b)
         if a != b:
             lo, hi = (a, b) if a < b else (b, a)
@@ -176,12 +179,11 @@ class _Enumerator:
         while queue:
             dead = queue.pop()
             mu = parent[dead]  # its representative is looked up below, when needed
-            for c, col in enumerate(cols):
+            for col, inv_col in pairs:
                 delta = col[dead]
                 if delta < 0:
                     continue
                 col[dead] = -1
-                inv_col = cols[c ^ 1]
                 # drop the back-arrow from delta before rerouting
                 inv_col[delta] = -1
                 d = delta if parent[delta] == delta else rep(delta)
@@ -414,8 +416,9 @@ def enumerate_cosets(
         cycle = index.get(w[0] >> 1, (None, None)) if period == 1 else (None, None)
         relators.append(((ahead, ahead[::-1], forward, backward), walk, marks, *cycle))
     scan, mark_cycle, define = st.scan, st.mark_cycle, st.define
-    # each column with the column of the inverse letter
-    pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
+    # each column with the column of the inverse letter, for definitions and
+    # coincidences
+    pairs = st.pairs = [(col, cols[c ^ 1]) for c, col in enumerate(cols)]
     alpha = 0
     while alpha < len(parent):
         if parent[alpha] == alpha:

@@ -10,15 +10,16 @@ of Groups, ch. III; Oliver, Whitehead Groups of Finite Groups, 1988)
     Wh1(pi; Gamma) = sum over classes [x] != 1 of H0(C(x); Gamma).
 
 ``wh1_general`` computes each summand as the cokernel of an r-column
-matrix: Gamma's torsion and I - M_c for the Schreier generators c of the
-centralizer C(x) found while walking the class, each read off the diagonal
-of an exact Smith normal form.  The tests certify that diagonal against a
-reference that also builds the unimodular transforms, and compare
-``wh1_general`` with ``wh1_dense``, one Smith normal form of the whole
-(r * |pi|)-column relation matrix.  For Gamma = Z/2 with the trivial
-action every centralizer acts trivially, so each summand is Z/2 and
-Wh1(pi; Z/2) is the free Z/2-vector space on the nontrivial conjugacy
-classes; the tests check ``wh1_general`` against that class count.
+matrix, read off the diagonal of an exact Smith normal form: Gamma's
+torsion, and the relations of the class that are left at x once elementary
+row operations along a spanning tree of the class have eliminated the
+others.  The tests certify that diagonal against a reference that also
+builds the unimodular transforms, and compare ``wh1_general`` with
+``wh1_dense``, one Smith normal form of the whole (r * |pi|)-column
+relation matrix.  For Gamma = Z/2 with the trivial action every
+centralizer acts trivially, so each summand is Z/2 and Wh1(pi; Z/2) is the
+free Z/2-vector space on the nontrivial conjugacy classes; the tests check
+``wh1_general`` against that class count.
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
 both Stiefel-Whitney twists vanish) permutes the basis by class inversion.
@@ -103,6 +104,9 @@ def cokernel_invariants(M: Sequence[Sequence[int]], n_cols: int) -> tuple[int, .
     They are read off the Smith normal form's diagonal.  Entries 0 denote
     infinite cyclic factors; unit factors are dropped.
     """
+    # no rows: Z^n_cols itself.  smith_normal_form([]) gives () as well, but
+    # it is never called without a row, because a wrapper may read M[0]:
+    # perfbench's tracer counts len(M) * len(M[0]) cells per call
     if not M:
         return (0,) * n_cols
     nonzero = [d for d in smith_normal_form(M) if d]
@@ -134,11 +138,6 @@ class CoefficientSystem:
     @property
     def rank(self) -> int:
         return len(self.invariant_factors)
-
-    def action_of_generator(self, g: int) -> list[list[int]]:
-        if self.action is None:
-            return _identity(self.rank)
-        return [list(row) for row in self.action[g]]
 
 
 @dataclass(frozen=True)
@@ -212,7 +211,10 @@ def check_action_consistency(
         raise CoefficientError(
             f"action needs one {r}x{r} matrix per generator of pi ({n_gens})"
         )
-    gen_mats = [coeff.action_of_generator(g) for g in range(n_gens)]
+    if coeff.action is None:
+        gen_mats = [_identity(r)] * n_gens
+    else:
+        gen_mats = [[list(row) for row in mat] for mat in coeff.action]
     for g, mat in enumerate(gen_mats):
         for k, fk in enumerate(factors):
             for j, fj in enumerate(factors):
@@ -259,54 +261,48 @@ def wh1_general(
 ) -> WhiteheadGroupResult:
     """Wh1(pi; Gamma) as a sum of centralizer coinvariants, one per class.
 
-    The relations gamma.g ~ (s.gamma).(s g s^-1), one per generator image s,
-    join the coordinates of each conjugacy class into a graph.  A spanning
-    tree grown from x identifies each coordinate y with x through P_y, the
-    product of action matrices along its tree path; every other edge y -> z
-    by s closes a cycle, a Schreier generator c of the centralizer C(x)
-    acting by M_c = P_y M(s) P_z^-1.  The summand of the class is
-    H0(C(x); Gamma), the cokernel of Gamma's torsion rows and the rows of
-    I - M_c (Shapiro's lemma, see the module docstring); the summands merge
-    into one divisibility chain.  ``wh1_dense`` in the tests builds the whole
-    relation matrix instead and must agree.
+    The relations gamma.y ~ (gamma M(s)).(s y s^-1), one per generator image
+    s, join the coordinates of each conjugacy class into a graph; the class
+    of x contributes the cokernel of these relations on its coordinates.  A
+    spanning tree grown from x eliminates them by row operations: the
+    coordinate y is rewritten at x by a matrix Q_y, with Q_x = I, so that
+    delta.y ~ (delta Q_y).x.  A tree edge y -> z by s sets Q_z = M(s)^-1 Q_y;
+    every other edge leaves the relation gamma Q_y = gamma M(s) Q_z at x, the
+    rows of Q_y - M(s) Q_z.  The summand is the cokernel of Gamma's torsion
+    rows and those rows, H0(C(x); Gamma) (see the module docstring), and the
+    summands merge into one divisibility chain.  ``wh1_dense`` in the tests
+    builds the whole relation matrix instead and must agree.
     """
     actions = check_action_consistency(G, coeff)
     factors, r = coeff.invariant_factors, coeff.rank
     torsion = [[f * (i == k) for i in range(r)] for k, f in enumerate(factors) if f]
-    ident = _reduce(_identity(r), factors)
     steps: dict[int, tuple[list[int], tuple[IntMatrix, IntMatrix]]] = {}
     for g, (img, pair) in enumerate(zip(G.generator_images, actions)):
         if img and img not in steps:  # conjugating by the identity relates nothing
             steps[img] = (G.conjugation(g), pair)  # y -> s y s^-1
     cokernels: dict[frozenset, tuple[int, ...]] = {}
-    tree: dict[int, tuple[IntMatrix, IntMatrix]] = {}  # y -> (P_y, P_y^-1)
+    tree: dict[int, IntMatrix] = {}  # y -> Q_y
     summands: list[int] = []
     for x in range(1, G.order):
         if x in tree:
             continue
-        tree[x] = (ident, ident)
+        tree[x] = _identity(r)
         queue = [x]
-        loops = set()
+        rows = set()
         for y in queue:  # grows while iterated: a FIFO walk over the class
-            p, p_inv = tree[y]
+            q = tree[y]
             for conj, (mat, mat_inv) in steps.values():
                 z = conj[y]
-                path = _reduce(_matmul(p, mat), factors)
                 if z not in tree:
-                    tree[z] = (path, _reduce(_matmul(mat_inv, p_inv), factors))
+                    tree[z] = _reduce(_matmul(mat_inv, q), factors)
                     queue.append(z)
-                else:
-                    loop = _reduce(_matmul(path, tree[z][1]), factors)
-                    if loop != ident:
-                        loops.add(tuple(map(tuple, loop)))
-        key = frozenset(loops)
+                    continue
+                mq = _matmul(mat, tree[z])  # M(s) Q_z
+                diff = [[a - b for a, b in zip(u, v)] for u, v in zip(q, mq)]
+                rows.update(row for row in map(tuple, _reduce(diff, factors)) if any(row))
+        key = frozenset(rows)
         if key not in cokernels:
-            rows = torsion + [
-                [int(i == j) - c for j, c in enumerate(row)]
-                for loop in sorted(key)
-                for i, row in enumerate(loop)
-            ]
-            cokernels[key] = cokernel_invariants(rows, r)
+            cokernels[key] = cokernel_invariants(torsion + sorted(key), r)
         summands.extend(cokernels[key])
     return WhiteheadGroupResult(_invariant_chain(summands))
 

@@ -14,8 +14,11 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def run_python(*args: str) -> subprocess.CompletedProcess:
-    """Run a Python child process with this checkout's ``src`` first on its path."""
-    path = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    """Run a Python child process with the caller's ``PYTHONPATH`` first on its
+    path and this checkout's ``src`` after it, so that a child imports the
+    package the suite itself runs against (``tests/mutants.py`` runs it
+    against a mutated copy)."""
+    path = [os.environ.get("PYTHONPATH", ""), str(ROOT / "src")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, env=env, cwd=ROOT,

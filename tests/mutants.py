@@ -1,9 +1,9 @@
 """Mutation checks: each known defect must make the tier-1 suite fail.
 
 ``MUTANTS`` lists deliberate defects of the coset enumerator, the verdict
-gate, the Seifert flag policies, the class pairs and the Wh1 algebra, each
-as a file under ``src/``, the exact text it replaces and the text that
-replaces it.
+gate, the Seifert flag policies, the class pairs, the Wh1 algebra and the
+command line, each as a file under ``src/``, the exact text it replaces and
+the text that replaces it.
 For each one the script copies ``src/`` to a temporary directory, applies
 the edit there and runs the tier-1 suite against the copy with ``pytest -x``
 under a time limit: first the tests named in the entry, the ones meant to
@@ -17,8 +17,8 @@ Run ``python tests/mutants.py`` from any directory; it exits 1 when a
 mutant survives, or cannot be applied or tested (an old text that does not
 occur exactly once, a named test that does not exist).  Tier-1 checks only
 that every old text still occurs exactly once and every named test exists
-(``tests/test_coset.py``), so that the list cannot rot silently; the twenty
-mutants here take about 25 s together on a 2-vCPU host.
+(``tests/test_coset.py``), so that the list cannot rot silently; the
+twenty-three mutants here take about 45 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -202,6 +202,30 @@ MUTANTS = (
         "    for rel in G.source.relators:\n        acc = _identity(r)\n",
         "    for rel in ():\n        acc = _identity(r)\n",
         f"{WHITEHEAD_TESTS}::test_action_breaking_a_relator_rejected",
+    ),
+    # the elimination along a class's spanning tree; a sign action has
+    # M(s) = M(s)^-1, so only the other actions tell the first apart
+    Mutant(
+        "a tree edge multiplies by M(s), not M(s)^-1",
+        WHITEHEAD,
+        "tree[z] = _reduce(_matmul(mat_inv, q), factors)",
+        "tree[z] = _reduce(_matmul(mat, q), factors)",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
+    Mutant(
+        "another edge compares Q_z M(s), not M(s) Q_z",
+        WHITEHEAD,
+        "mq = _matmul(mat, tree[z])",
+        "mq = _matmul(tree[z], mat)",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
+    # only a test that runs the module in a child process sees its exit code
+    Mutant(
+        "the module entry point drops the exit code",
+        "whdetect/cli.py",
+        "    sys.exit(main())\n",
+        "    main()\n",
+        f"{PIPELINE_TESTS}::test_cli_input_error_is_one_line_exit_2",
     ),
 )
 

@@ -277,6 +277,22 @@ def test_cli_steinberg_eval(capsys):
     assert "K2 member: no" in out
 
 
+@pytest.mark.parametrize(
+    "dim, rows",
+    [
+        ("3", ["[ 1  a  0 ]", "[ 0  1  0 ]", "[ 0  0  1 ]"]),
+        # below the largest index of the word, the word's dimension is used
+        ("1", ["[ 1  a ]", "[ 0  1 ]"]),
+    ],
+)
+def test_cli_steinberg_eval_dim(capsys, dim, rows):
+    code, out = run_cli(
+        capsys, "steinberg", "eval", "--group", "cyclic_4", "--word", "x(1,2;a)", "--dim", dim
+    )
+    assert code == 0
+    assert out.splitlines()[: len(rows) + 1] == [*rows, "PD form: no"]
+
+
 def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
     from whdetect import cli, steinberg
 
@@ -323,6 +339,7 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         ["analyze", "--seifert=0,o1,0,2:1"],
         ["analyze", "--seifert=0,o1,0,((2:1))"],
         ["wh1", "--preset", "cyclic_4", "--gamma", "2,,3"],
+        ["steinberg", "eval", "--group", "cyclic_4", "--word", "x(1,2;a)", "--dim", "101"],
     ],
     ids=[
         "unknown-preset", "bad-seifert", "bad-gamma", "bad-steinberg-word",
@@ -334,6 +351,7 @@ def test_cli_steinberg_eval_evaluates_once(capsys, monkeypatch):
         "seifert-empty-eps", "seifert-empty-b", "seifert-trailing-comma",
         "seifert-fiber-unclosed", "seifert-fiber-unparenthesized",
         "seifert-fiber-double-parentheses", "gamma-empty-factor",
+        "steinberg-dim-101",
     ],
 )
 def test_cli_input_error_is_one_line_exit_2(argv):

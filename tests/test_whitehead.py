@@ -116,6 +116,18 @@ def test_cokernel_invariants():
     assert cokernel_invariants([[1, 0]], 2) == (0,)
 
 
+def test_cokernel_of_no_rows_skips_the_smith_normal_form(monkeypatch):
+    """No rows give n zeros without a call of smith_normal_form, which a
+    wrapper reading the row length M[0] could not take."""
+    from whdetect import whitehead
+
+    def called(M):
+        raise AssertionError(f"smith_normal_form called on {M}")
+
+    monkeypatch.setattr(whitehead, "smith_normal_form", called)
+    assert cokernel_invariants([], 4) == (0, 0, 0, 0)
+
+
 # ---------------------------------------------------------------------------
 # Wh1 computations
 # ---------------------------------------------------------------------------
