@@ -34,7 +34,7 @@ class SteinbergError(ValueError):
 MAX_DIMENSION = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupRingElement:
     """An element of Z[pi]: a finite map group element -> integer coefficient.
 
@@ -117,7 +117,7 @@ def _format(x: GroupRingElement, names: dict[int, str]) -> str:
     return " + ".join(parts).replace("+ -", "- ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SteinbergLetter:
     row: int
     col: int

@@ -13,13 +13,17 @@ of Groups, ch. III; Oliver, Whitehead Groups of Finite Groups, 1988)
 matrix, read off the diagonal of an exact Smith normal form: Gamma's
 torsion, and the relations of the class that are left at x once elementary
 row operations along a spanning tree of the class have eliminated the
-others.  The tests certify that diagonal against a reference that also
-builds the unimodular transforms, and compare ``wh1_general`` with
-``wh1_dense``, one Smith normal form of the whole (r * |pi|)-column
-relation matrix.  For Gamma = Z/2 with the trivial action every
-centralizer acts trivially, so each summand is Z/2 and Wh1(pi; Z/2) is the
-free Z/2-vector space on the nontrivial conjugacy classes; the tests check
-``wh1_general`` against that class count.
+others.  Every r x r product over Gamma, in the relator check and in the
+class walks, goes through the numbered image of the action: an action
+through pi takes at most |pi| matrices, one per element, so each gets an
+integer id and each distinct pair of ids is multiplied once, however many
+relator letters and class edges ask for it.  The tests certify that
+diagonal against a reference that also builds the unimodular transforms,
+and compare ``wh1_general`` with ``wh1_dense``, one Smith normal form of
+the whole (r * |pi|)-column relation matrix.  For Gamma = Z/2 with the
+trivial action every centralizer acts trivially, so each summand is Z/2 and
+Wh1(pi; Z/2) is the free Z/2-vector space on the nontrivial conjugacy
+classes; the tests check ``wh1_general`` against that class count.
 
 On that Z/2-space the coefficient-ring involution (orientable spin case:
 both Stiefel-Whitney twists vanish) permutes the basis by class inversion.
@@ -34,8 +38,10 @@ GF(2) elimination of the differential matrix on every catalog group.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-from typing import Sequence
+from collections import Counter
+from itertools import zip_longest
+from math import gcd, prod
+from typing import Iterable, Sequence
 
 from .analysis import ConjugacyProfile
 from .coset import FiniteGroupRealization, element_order
@@ -180,6 +186,43 @@ def _inverse(mat: IntMatrix, factors: tuple[int, ...], order: int) -> IntMatrix:
     )
 
 
+class _ActionImage:
+    """The matrices an action takes, numbered, with every product memoized.
+
+    Each matrix is reduced modulo Gamma's torsion and gets an integer id the
+    first time it is met; ``mul(a, b)`` is the id of the product of the
+    matrices numbered a and b, computed once per ordered pair.  An action
+    through pi takes at most |pi| matrices, one per element, so the ids and
+    the table stay that small however many letters or edges ask for them.
+    The identity has id 0, and ``gens[g]`` holds the ids of generator g's
+    (matrix, inverse) pair.
+    """
+
+    def __init__(
+        self, factors: tuple[int, ...], actions: list[tuple[IntMatrix, IntMatrix]]
+    ) -> None:
+        self.factors = factors
+        self.ids: dict[tuple[tuple[int, ...], ...], int] = {}
+        self.mats: list[IntMatrix] = []
+        self.products: dict[tuple[int, int], int] = {}
+        self.number(_identity(len(factors)))
+        self.gens = [(self.number(mat), self.number(inv)) for mat, inv in actions]
+
+    def number(self, mat: IntMatrix) -> int:
+        reduced = _reduce(mat, self.factors)
+        key = tuple(map(tuple, reduced))
+        if key not in self.ids:
+            self.ids[key] = len(self.mats)
+            self.mats.append(reduced)
+        return self.ids[key]
+
+    def mul(self, a: int, b: int) -> int:
+        key = (a, b)
+        if key not in self.products:
+            self.products[key] = self.number(_matmul(self.mats[a], self.mats[b]))
+        return self.products[key]
+
+
 def check_action_consistency(
     G: FiniteGroupRealization, coeff: CoefficientSystem
 ) -> list[tuple[IntMatrix, IntMatrix]]:
@@ -191,7 +234,9 @@ def check_action_consistency(
     (f = 0 meaning Z), or gamma_k would not keep its order f_k.  Each
     matrix must reach the identity, modulo Gamma's torsion, within as many
     powers as its generator's order in pi, and the products along every
-    defining relator of pi must be the identity.  Raises
+    defining relator of pi must be the identity.  Those products go through
+    the numbered image of the action (``_ActionImage``): a relator multiplies
+    ids, and each distinct pair of matrices is multiplied once.  Raises
     :class:`CoefficientError` otherwise, for a negative invariant factor, and
     for more than ``MAX_GAMMA_RANK`` invariant factors of Gamma, before any
     matrix is built.
@@ -227,33 +272,64 @@ def check_action_consistency(
         (mat, _inverse(mat, factors, element_order(G, img)))
         for mat, img in zip(gen_mats, G.generator_images)
     ]
-    ident = _reduce(_identity(r), factors)
+    image = _ActionImage(factors, actions)
     for rel in G.source.relators:
-        acc = _identity(r)
+        acc = 0  # the identity
         for g, s in rel.letters:
-            acc = _reduce(_matmul(acc, actions[g][0 if s > 0 else 1]), factors)
-        if acc != ident:
+            acc = image.mul(acc, image.gens[g][s < 0])
+        if acc:
             raise CoefficientError(
                 f"action does not respect relator {rel.display(G.source.generators)}"
             )
     return actions
 
 
+def _coprime_base(values: Iterable[int]) -> list[int]:
+    """Pairwise coprime integers > 1 whose powers multiply to each value.
+
+    A value that shares a factor g with a base element b is split, with b,
+    into g, b / g and its own cofactor; the product of what is left to place
+    falls with each split, so the splitting ends.
+    """
+    base: list[int] = []
+    for value in values:
+        pending = [value]
+        while pending:
+            d = pending.pop()
+            for i, b in enumerate(base):
+                g = gcd(b, d)
+                if g > 1:
+                    del base[i]
+                    pending += [x for x in (g, b // g, d // g) if x > 1]
+                    break
+            else:
+                base.append(d)
+    return base
+
+
 def _invariant_chain(summands: list[int]) -> tuple[int, ...]:
     """Invariant factors of a direct sum of cyclic groups Z/d (d = 0: Z).
 
-    Pairwise gcd/lcm steps (Z/a + Z/b = Z/gcd + Z/lcm) turn the torsion
-    orders into a divisibility chain; units are dropped and one 0 follows
-    per free summand, the form :func:`cokernel_invariants` reports.
+    Primary decomposition over a coprime base of the torsion orders (a base
+    element plays the part of a prime, so no order is factored): each order
+    is a product of powers b^e of base elements, and the k-th largest
+    invariant factor is the product over b of the k-th largest power of b
+    among the summands.  Units are dropped and one 0 follows per free
+    summand, the form :func:`cokernel_invariants` reports.
     """
-    torsion = sorted(d for d in summands if d > 1)
-    for i in range(len(torsion)):
-        for j in range(i + 1, len(torsion)):
-            a, b = torsion[i], torsion[j]
-            if b % a:
-                g = gcd(a, b)
-                torsion[i], torsion[j] = g, a // g * b
-    return tuple(d for d in torsion if d != 1) + (0,) * summands.count(0)
+    torsion = Counter(d for d in summands if d > 1)
+    powers = []
+    for b in _coprime_base(torsion):
+        exps = []
+        for d, count in torsion.items():
+            e = 0
+            while d % b == 0:
+                d, e = d // b, e + 1
+            if e:
+                exps += [e] * count
+        powers.append([b**e for e in sorted(exps, reverse=True)])
+    chain = [prod(column) for column in zip_longest(*powers, fillvalue=1)]
+    return tuple(reversed(chain)) + (0,) * summands.count(0)
 
 
 def wh1_general(
@@ -266,40 +342,53 @@ def wh1_general(
     of x contributes the cokernel of these relations on its coordinates.  A
     spanning tree grown from x eliminates them by row operations: the
     coordinate y is rewritten at x by a matrix Q_y, with Q_x = I, so that
-    delta.y ~ (delta Q_y).x.  A tree edge y -> z by s sets Q_z = M(s)^-1 Q_y;
-    every other edge leaves the relation gamma Q_y = gamma M(s) Q_z at x, the
-    rows of Q_y - M(s) Q_z.  The summand is the cokernel of Gamma's torsion
-    rows and those rows, H0(C(x); Gamma) (see the module docstring), and the
-    summands merge into one divisibility chain.  ``wh1_dense`` in the tests
-    builds the whole relation matrix instead and must agree.
+    delta.y ~ (delta Q_y).x.  A tree edge y -> z by s sets Q_z = M(s)^-1 Q_y
+    and its inverse P_z = P_y M(s); every other edge leaves the relation
+    gamma Q_y = gamma M(s) Q_z at x, the rows of Q_y - M(s) Q_z = Q_y (I - C)
+    with the loop C = P_y M(s) Q_z.  Q_y is an automorphism of Gamma, so the
+    rows of I - C span the same relations.  The summand is the cokernel of
+    Gamma's torsion rows and those rows, H0(C(x); Gamma) (see the module
+    docstring), and it is cached by that set of rows; the summands merge
+    into one divisibility chain.  Every matrix is an id of the action's
+    numbered image, which holds at most one matrix per element of pi, so a
+    class walk multiplies ids and each distinct pair, and each loop's rows,
+    are computed once.  ``wh1_dense`` in the tests builds the whole relation
+    matrix instead and must agree.
     """
-    actions = check_action_consistency(G, coeff)
     factors, r = coeff.invariant_factors, coeff.rank
+    image = _ActionImage(factors, check_action_consistency(G, coeff))
     torsion = [[f * (i == k) for i in range(r)] for k, f in enumerate(factors) if f]
-    steps: dict[int, tuple[list[int], tuple[IntMatrix, IntMatrix]]] = {}
-    for g, (img, pair) in enumerate(zip(G.generator_images, actions)):
+    steps: dict[int, tuple[list[int], tuple[int, int]]] = {}
+    for g, img in enumerate(G.generator_images):
         if img and img not in steps:  # conjugating by the identity relates nothing
-            steps[img] = (G.conjugation(g), pair)  # y -> s y s^-1
+            steps[img] = (G.conjugation(g), image.gens[g])  # y -> s y s^-1
+    loop_rows: dict[int, list[tuple[int, ...]]] = {}  # C -> rows of I - C
     cokernels: dict[frozenset, tuple[int, ...]] = {}
-    tree: dict[int, IntMatrix] = {}  # y -> Q_y
+    tree: dict[int, tuple[int, int]] = {}  # y -> (Q_y, P_y = Q_y^-1)
     summands: list[int] = []
     for x in range(1, G.order):
         if x in tree:
             continue
-        tree[x] = _identity(r)
+        tree[x] = (0, 0)
         queue = [x]
-        rows = set()
+        loops = set()
         for y in queue:  # grows while iterated: a FIFO walk over the class
-            q = tree[y]
+            q, p = tree[y]
             for conj, (mat, mat_inv) in steps.values():
                 z = conj[y]
                 if z not in tree:
-                    tree[z] = _reduce(_matmul(mat_inv, q), factors)
+                    tree[z] = (image.mul(mat_inv, q), image.mul(p, mat))
                     queue.append(z)
-                    continue
-                mq = _matmul(mat, tree[z])  # M(s) Q_z
-                diff = [[a - b for a, b in zip(u, v)] for u, v in zip(q, mq)]
-                rows.update(row for row in map(tuple, _reduce(diff, factors)) if any(row))
+                else:
+                    loops.add(image.mul(p, image.mul(mat, tree[z][0])))
+        rows = set()
+        for c in loops:
+            if c not in loop_rows:
+                diff = [
+                    [(i == j) - a for j, a in enumerate(row)] for i, row in enumerate(image.mats[c])
+                ]
+                loop_rows[c] = [row for row in map(tuple, _reduce(diff, factors)) if any(row)]
+            rows.update(loop_rows[c])
         key = frozenset(rows)
         if key not in cokernels:
             cokernels[key] = cokernel_invariants(torsion + sorted(key), r)

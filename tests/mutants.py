@@ -18,7 +18,7 @@ mutant survives, or cannot be applied or tested (an old text that does not
 occur exactly once, a named test that does not exist).  Tier-1 checks only
 that every old text still occurs exactly once and every named test exists
 (``tests/test_coset.py``), so that the list cannot rot silently; the
-twenty-three mutants here take about 45 s together on a 2-vCPU host.
+twenty-seven mutants here take about 50 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -190,33 +190,66 @@ MUTANTS = (
         f"{WHITEHEAD_TESTS}::test_snf_diagonal_equals_certified_oracle",
     ),
     Mutant(
-        "the invariant chain keeps the product, not the lcm",
+        "the invariant chain pairs the largest powers with the smallest",
         WHITEHEAD,
-        "a // g * b",
-        "a * b",
-        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+        "sorted(exps, reverse=True)",
+        "sorted(exps)",
+        f"{WHITEHEAD_TESTS}::test_invariant_chain_equals_the_diagonal_cokernel",
     ),
     Mutant(
         "the action's relators unchecked",
         WHITEHEAD,
-        "    for rel in G.source.relators:\n        acc = _identity(r)\n",
-        "    for rel in ():\n        acc = _identity(r)\n",
+        "    for rel in G.source.relators:\n        acc = 0  # the identity\n",
+        "    for rel in ():\n        acc = 0  # the identity\n",
         f"{WHITEHEAD_TESTS}::test_action_breaking_a_relator_rejected",
     ),
+    # the numbered image of the action: ids of unreduced matrices tell -1
+    # and 5 modulo 6 apart, and a product stored for the unordered pair
+    # answers b a with a b
+    Mutant(
+        "action matrices numbered before reduction",
+        WHITEHEAD,
+        "key = tuple(map(tuple, reduced))",
+        "key = tuple(map(tuple, mat))",
+        f"{WHITEHEAD_TESTS}::test_sign_action_on_torsion_consistent",
+    ),
+    Mutant(
+        "products memoized by the unordered pair",
+        WHITEHEAD,
+        "        key = (a, b)\n",
+        "        key = (min(a, b), max(a, b))\n",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
     # the elimination along a class's spanning tree; a sign action has
-    # M(s) = M(s)^-1, so only the other actions tell the first apart
+    # M(s) = M(s)^-1, so only the other actions tell the first apart, and
+    # only D5 on a pentagon's vertices, whose tree paths mix both generators,
+    # tells the side a tree edge multiplies on
     Mutant(
         "a tree edge multiplies by M(s), not M(s)^-1",
         WHITEHEAD,
-        "tree[z] = _reduce(_matmul(mat_inv, q), factors)",
-        "tree[z] = _reduce(_matmul(mat, q), factors)",
+        "image.mul(mat_inv, q)",
+        "image.mul(mat, q)",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
+    Mutant(
+        "a tree edge sets Q_y M(s)^-1, not M(s)^-1 Q_y",
+        WHITEHEAD,
+        "image.mul(mat_inv, q)",
+        "image.mul(q, mat_inv)",
+        f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
+    ),
+    Mutant(
+        "a tree edge sets M(s) P_y, not P_y M(s)",
+        WHITEHEAD,
+        "image.mul(p, mat))",
+        "image.mul(mat, p))",
         f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
     ),
     Mutant(
         "another edge compares Q_z M(s), not M(s) Q_z",
         WHITEHEAD,
-        "mq = _matmul(mat, tree[z])",
-        "mq = _matmul(tree[z], mat)",
+        "image.mul(mat, tree[z][0])",
+        "image.mul(tree[z][0], mat)",
         f"{WHITEHEAD_TESTS}::test_wh1_general_matches_dense_oracle_non_diagonal",
     ),
     # only a test that runs the module in a child process sees its exit code

@@ -1,10 +1,10 @@
-import itertools
 import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from whdetect import whitehead
 from whdetect.analysis import conjugacy_classes, is_ambivalent
 from whdetect.catalog import builtin_groups
 from whdetect.coset import realize_presentation
@@ -12,6 +12,7 @@ from whdetect.whitehead import (
     MAX_GAMMA_RANK,
     CoefficientError,
     CoefficientSystem,
+    _invariant_chain,
     check_action_consistency,
     cokernel_invariants,
     involution_space,
@@ -27,6 +28,8 @@ from conftest import (
     group,
 )
 from snf_oracle import certified_smith_normal_form, fraction_det
+import wh1_digest
+from wh1_digest import BENCH_GAMMAS, NON_DIAGONAL, perm, sign_actions
 
 SMALL_CATALOG = [
     group((), ()),
@@ -119,13 +122,25 @@ def test_cokernel_invariants():
 def test_cokernel_of_no_rows_skips_the_smith_normal_form(monkeypatch):
     """No rows give n zeros without a call of smith_normal_form, which a
     wrapper reading the row length M[0] could not take."""
-    from whdetect import whitehead
 
     def called(M):
         raise AssertionError(f"smith_normal_form called on {M}")
 
     monkeypatch.setattr(whitehead, "smith_normal_form", called)
     assert cokernel_invariants([], 4) == (0, 0, 0, 0)
+
+
+# orders with large prime factors, which the chain must not factor
+LARGE_ORDERS = (10**9 + 7, 998_244_353, (10**9 + 7) * 998_244_353, (10**9 + 7) ** 2 * 6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.integers(0, 72), st.sampled_from(LARGE_ORDERS)), max_size=12))
+def test_invariant_chain_equals_the_diagonal_cokernel(orders):
+    """The chain of a sum of cyclic groups Z/d equals the cokernel of the
+    diagonal matrix of the orders, read off its Smith normal form."""
+    diagonal = [[d * (i == j) for j in range(len(orders))] for i, d in enumerate(orders)]
+    assert _invariant_chain(orders) == cokernel_invariants(diagonal, len(orders))
 
 
 # ---------------------------------------------------------------------------
@@ -209,64 +224,78 @@ def _per_class(G, coeff):
     return wh1_general(G, coeff).invariant_factors
 
 
-BENCH_GAMMAS = ((2,), (0,), (6,), (0, 4), (2, 2))
-
-
-def _diagonal(signs, r):
-    return tuple(tuple(tuple(e * (i == j) for j in range(r)) for i in range(r)) for e in signs)
-
-
 @pytest.mark.parametrize("entry", builtin_groups(24), ids=lambda e: e.name)
 def test_wh1_general_matches_dense_oracle(entry):
     """The per-class route equals the dense relation matrix under the trivial
     action and every sign action; both reject the inconsistent ones."""
     G = realize_presentation(entry.presentation)
-    signs = list(itertools.product((1, -1), repeat=len(G.generator_images)))
     for gamma in BENCH_GAMMAS:
-        for action in [None] + [_diagonal(v, len(gamma)) for v in signs if -1 in v]:
+        for action in [None, *sign_actions(len(G.generator_images), len(gamma))]:
             coeff = CoefficientSystem(gamma, action)
             assert _outcome(_per_class, G, coeff) == _outcome(wh1_dense, G, coeff)
 
 
-def _perm(p):
-    return tuple(tuple(int(p[i] == j) for j in range(len(p))) for i in range(len(p)))
-
-
-NON_DIAGONAL = [
-    # S3 permuting three coordinates
-    *[(dihedral_group(3), (f,) * 3, (_perm((1, 2, 0)), _perm((0, 2, 1)))) for f in (3, 6, 0)],
-    # D4 and D6 rotating the square and the hexagonal lattice
-    (dihedral_group(4), (0, 0), (((0, -1), (1, 0)), ((1, 0), (0, -1)))),
-    (dihedral_group(6), (0, 0), (((0, -1), (1, 1)), ((0, 1), (1, 0)))),
-    # two sign characters on Z/3 + Z/4: the classes give Z/2, Z/6 and Z/4
-    (dihedral_group(4), (3, 4), (((1, 0), (0, -1)), ((-1, 0), (0, 1)))),
-    # a unipotent automorphism of Z/2 + Z/4
-    *[(cyclic_group(n), (2, 4), (((1, 0), (2, 1)),)) for n in (2, 4, 6)],
-    # the Frobenius group of order 21 permuting seven points; a -> a^-1,
-    # b -> b^-1 is no automorphism of it, so the cycle matrices must multiply
-    # in the order the relations give them to match the oracle
-    (
-        group(("a", "b"), ("a^7", "b^3", "b^-1 a b a^-2")),
-        (2,) * 7,
-        (_perm(tuple((i + 1) % 7 for i in range(7))), _perm(tuple(2 * i % 7 for i in range(7)))),
-    ),
-    # inconsistent inputs: a relator not respected, and not an endomorphism
-    (dihedral_group(4), (0, 0), (((0, -1), (1, 0)), ((0, 1), (1, 0)))),
-    (dihedral_group(3), (0, 3, 0), (_perm((1, 2, 0)), _perm((0, 2, 1)))),
-]
-
-
 @pytest.mark.parametrize(
-    "G, gamma, action",
-    NON_DIAGONAL,
-    ids=[
-        "S3-Z3^3", "S3-Z6^3", "S3-Z^3", "D4-Z^2", "D6-Z^2", "D4-Z3+Z4", "C2-Z2+Z4", "C4-Z2+Z4",
-        "C6-Z2+Z4", "F21-Z2^7", "D4-bad-relator", "S3-not-endomorphism",
-    ],
+    "G, gamma, action", [case[1:] for case in NON_DIAGONAL], ids=[case[0] for case in NON_DIAGONAL]
 )
 def test_wh1_general_matches_dense_oracle_non_diagonal(G, gamma, action):
     coeff = CoefficientSystem(gamma, action)
     assert _outcome(_per_class, G, coeff) == _outcome(wh1_dense, G, coeff)
+
+
+def test_wh1_digest_is_pinned():
+    """A seeded sample of the Wh1 outcomes keeps its digest;
+    ``tests/wh1_digest.py`` checks the full set."""
+    assert wh1_digest.digest(wh1_digest.inputs(sample=True)) == wh1_digest.SAMPLE
+
+
+@pytest.mark.parametrize(
+    "gamma, want",
+    [((6,), (2,)), ((0, 4), (2, 2)), ((3,), ()), ((2, 2), (2, 2))],
+    ids=["Z6", "Z+Z4", "Z3", "Z2+Z2"],
+)
+def test_sign_action_on_torsion_consistent(gamma, want):
+    """a -> -1 on Gamma with torsion respects a^2 only modulo the torsion: -1
+    reduces to 5 modulo 6, and 5 * 5 = 25 to 1.  The nontrivial element
+    gives Gamma / 2 Gamma."""
+    r = len(gamma)
+    coeff = CoefficientSystem(gamma, (tuple(tuple(-(i == j) for j in range(r)) for i in range(r)),))
+    assert wh1_general(cyclic_group(2), coeff).invariant_factors == want
+
+
+def _counting(monkeypatch, name):
+    """Wrap ``whitehead.<name>`` so that each call is counted."""
+    calls = []
+    real = getattr(whitehead, name)
+    monkeypatch.setattr(whitehead, name, lambda *args: calls.append(1) or real(*args))
+    return calls
+
+
+def test_products_go_through_the_numbered_image(monkeypatch):
+    """An action through pi takes few matrices, and each distinct pair is
+    multiplied once: a -> -1 on Z takes two, the trivial action one, however
+    long the relators and however many edges the classes have."""
+    products = _counting(monkeypatch, "_matmul")
+    check_action_consistency(cyclic_group(60), CoefficientSystem((0,), (((-1,),),)))
+    assert len(products) <= 4
+    products.clear()
+    G = dicyclic_group(1000)
+    k = conjugacy_classes(G).n_classes - 1
+    assert wh1_general(G, CoefficientSystem((2, 0))).invariant_factors == (2,) * k + (0,) * k
+    assert len(products) <= 8
+
+
+def test_summands_cached_by_their_loops(monkeypatch):
+    """A class's cokernel is keyed by the rows of I - C over its loops C,
+    which, unlike the rows Q_y - M(s) Q_z, are not twisted by the matrix Q_y
+    of the coordinate the edge leaves, so classes whose centralizers act
+    alike share one Smith normal form."""
+    calls = _counting(monkeypatch, "smith_normal_form")
+    builtin = {entry.name for entry in builtin_groups(60)}
+    for name, G, coeff in wh1_digest.inputs():
+        if name in builtin:
+            wh1_digest.outcome(G, coeff)
+    assert len(calls) <= 973
 
 
 @pytest.mark.parametrize("G", SMALL_CATALOG, ids=lambda g: f"order{g.order}")
@@ -397,14 +426,7 @@ def test_detection_rank_dic3():
 
 
 def test_inconsistent_action_rejected(monkeypatch):
-    from whdetect import whitehead
-    from whdetect.whitehead import CoefficientError, check_action_consistency
-
-    products = []
-    real = whitehead._matmul
-    monkeypatch.setattr(
-        whitehead, "_matmul", lambda a, b: products.append(1) or real(a, b)
-    )
+    products = _counting(monkeypatch, "_matmul")
     G = cyclic_group(2)
     for bad in (
         # order-3 action matrix cannot respect a^2 = 1
@@ -445,7 +467,7 @@ def test_action_shape_rejected(coeff):
     [
         # S3 permuting the coordinates of Z + Z/3 + Z: it respects every
         # relator, but sends the order-3 generator to an infinite-order one
-        (dihedral_group(3), CoefficientSystem((0, 3, 0), (_perm((1, 2, 0)), _perm((0, 2, 1))))),
+        (dihedral_group(3), CoefficientSystem((0, 3, 0), (perm((1, 2, 0)), perm((0, 2, 1))))),
         # swapping Z/4 and Z/2 sends the order-2 generator to an order-4 one
         (cyclic_group(2), CoefficientSystem((4, 2), (((0, 1), (1, 0)),))),
     ],
