@@ -62,13 +62,21 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
 
     Conjugating by the group generators alone suffices since they generate,
     one permutation per distinct generator image; this beats the naive
-    all-pairs loop, which the tests keep as an oracle.  Each class is sorted
-    and the classes are numbered by their least elements, so the direction
-    of conjugation does not matter.
+    all-pairs loop, which the tests keep as an oracle.  A central generator
+    conjugates every element to itself, so it gets no permutation; when
+    every generator is central the group is abelian, each element is its
+    own class and the inversion permutation is ``G.inv``.  Each class is
+    sorted and the classes are numbered by their least elements, so the
+    direction of conjugation does not matter.
     """
+    central = G.central
     perms = {
-        img: G.conjugation(g) for g, img in enumerate(G.generator_images)
+        img: G.conjugation(g)
+        for g, img in enumerate(G.generator_images)
+        if not central[g]
     }.values()
+    if not perms:
+        return ConjugacyProfile(tuple(zip(range(G.order))), G.inv)
     class_of = [-1] * G.order
     classes: list[tuple[int, ...]] = []
     for start in range(G.order):
@@ -84,7 +92,8 @@ def conjugacy_classes(G: FiniteGroupRealization) -> ConjugacyProfile:
                     class_of[h] = idx
                     orbit.append(h)
         classes.append(tuple(sorted(orbit)))
-    inversion = tuple(class_of[G.inv[cls[0]]] for cls in classes)
+    inv = G.inv
+    inversion = tuple(class_of[inv[cls[0]]] for cls in classes)
     return ConjugacyProfile(tuple(classes), inversion)
 
 

@@ -9,6 +9,8 @@ inverse, indexed by coset, with -1 for an undefined entry, and the rows are
 read off the columns at the end.  Each relator is split once, at its runs,
 into segments: stretches of letters, which a scan reads by iterating their
 column lists, and runs, which it crosses in one step where it can (below).
+A proper power w^k is written from one period: the columns and column lists
+of w are found once and repeated k times by list multiplication.
 Where the forward and backward reads of a scan stop, the cosets between are
 defined in one run.  The budget is tested only when the per-coset arrays
 grow, since they grow by doubling and never past it.
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import length_hint
+from operator import eq, itemgetter, length_hint
 from typing import Iterable, Sequence
 
 from .words import Presentation, Word
@@ -75,11 +77,11 @@ def _col(letter: tuple[int, int]) -> int:
     return 2 * g + (0 if s > 0 else 1)
 
 
-def _proper_period(cols: Sequence[int]) -> int:
-    """Length of the shortest w with cols = w^k for some k >= 2, else 0."""
-    n = len(cols)
+def _proper_period(word: Sequence) -> int:
+    """Length of the shortest w with word = w^k for some k >= 2, else 0."""
+    n = len(word)
     for p in range(1, n // 2 + 1):
-        if n % p == 0 and cols[p:] == cols[:-p]:
+        if n % p == 0 and word[p:] == word[:-p]:
             return p
     return 0
 
@@ -384,9 +386,16 @@ def enumerate_cosets(
         )
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    # the column of each letter, as _col gives it
-    letters = [[2 * g + (s < 0) for g, s in r.letters] for r in p.relators]
-    periods = [_proper_period(w) for w in letters]
+    periods = [_proper_period(r.letters) for r in p.relators]
+    # each relator as w^k, k = 1 unless it is a proper power: the column of
+    # each letter of the period w, as _col gives it, and k; the relator's
+    # columns and its forward and backward lists are w's, repeated
+    heads = [
+        ([2 * g + (s < 0) for g, s in r.letters[: period or len(r.letters)]],
+         len(r.letters) // period if period else 1)
+        for r, period in zip(p.relators, periods)
+    ]
+    letters = [head * k for head, k in heads]
     powered = {w[0] >> 1 for w, period in zip(letters, periods) if period == 1}
     # the runs of powered generators in each relator that is not a power g^N
     runs = [
@@ -398,9 +407,9 @@ def enumerate_cosets(
     crossed = {w[i] >> 1 for w, rs in zip(letters, runs) for i, _ in rs}
     index = {g: (st.per_coset([None]), st.per_coset([0])) for g in crossed}
     relators = []
-    for w, period, rs in zip(letters, periods, runs):
-        forward = [cols[c] for c in w]
-        backward = [cols[c ^ 1] for c in w]
+    for w, (head, k), period, rs in zip(letters, heads, periods, runs):
+        forward = [cols[c] for c in head] * k
+        backward = [cols[c ^ 1] for c in head] * k
         # the stretches between the runs, and the runs
         ahead, done = [], 0
         for start, end in (*rs, (len(w), len(w))):
@@ -452,7 +461,9 @@ class FiniteGroupRealization:
     identity spells a shortest word for each element.  No other module
     reads these two fields; they use what is derived from them here.
     ``element_names`` spells only the elements it is given, as their tree
-    words.  ``inv`` is built on first read, and so is each row of ``mul``,
+    words.  ``central`` says which generators commute with every generator,
+    so that the class walk and ``inv`` skip their left rows.  ``inv`` and
+    ``central`` are built on first read, and so is each row of ``mul``,
     one per element the reader multiplies by on the left; only the group
     ring, the tests and the benchmark's oracles read ``mul``.
     """
@@ -469,6 +480,15 @@ class FiniteGroupRealization:
     def generator_images(self) -> tuple[int, ...]:
         """The element realizing each presentation generator."""
         return self.table[0][0::2]
+
+    @cached_property
+    def central(self) -> tuple[bool, ...]:
+        """Whether each presentation generator commutes with every generator,
+        and so is central: generator i is central when x_i.x_j, read as
+        ``table[x_i][2j]``, equals x_j.x_i for every generator j."""
+        # products[i][j] = x_i.x_j, so row i against column i
+        products = [self.table[x][0::2] for x in self.generator_images]
+        return tuple(map(eq, products, zip(*products)))
 
     def left(self, t: int) -> list[int]:
         """Left multiplication by t: the row b -> t.b, filled along the tree."""
@@ -506,13 +526,23 @@ class FiniteGroupRealization:
 
     @cached_property
     def inv(self) -> tuple[int, ...]:
-        """inv[a] = a^-1, along the tree: (a.x)^-1 = x^-1 . a^-1."""
+        """inv[a] = a^-1, along the tree: (a.x)^-1 = x^-1 . a^-1.
+
+        The left action of each letter x^-1 is a row built with
+        :meth:`left`, unless x is a central generator or its inverse: then
+        x^-1 . y = y . x^-1, and the row is the table's column of x^-1, so
+        an abelian group builds no row.
+        """
         inv = [0] * self.order
+        table, central = self.table, self.central
         lefts: dict[int, list[int]] = {}
         for b, a, c in self.tree:
             col = c ^ 1  # the column of x^-1
             if col not in lefts:
-                lefts[col] = self.left(self.table[0][col])
+                lefts[col] = (
+                    list(map(itemgetter(col), table)) if central[c >> 1]
+                    else self.left(table[0][col])
+                )
             inv[b] = lefts[col][inv[a]]
         return tuple(inv)
 

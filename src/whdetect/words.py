@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import islice, repeat, takewhile
 from typing import Iterable, Sequence
 
 Letter = tuple[int, int]
@@ -47,18 +48,43 @@ class Generator:
             )
 
 
+def _reduce_runs(runs: Iterable[tuple[Letter, int]]) -> tuple[Letter, ...]:
+    """The freely reduced word x_1^m_1 x_2^m_2 ..., given as runs (x, m), m >= 1.
+
+    A run takes O(1) Python steps: it cancels the tail of the word reduced
+    so far as far as that tail is a run of x^-1 and the run reaches, and
+    what is left of it is appended.  The result holds the runs' own letter
+    tuples, so a power's letters share one tuple.
+    """
+    out: list[Letter] = []
+    for x, m in runs:
+        if out:
+            y = out[-1]
+            if y[0] == x[0] and y[1] == -x[1]:  # y is x^-1
+                if m == 1:
+                    out.pop()
+                    continue
+                # the letters of the tail that cancel: y repeated, at most m
+                c = len(list(islice(takewhile(y.__eq__, reversed(out)), m)))
+                del out[-c:]
+                m -= c
+        if m == 1:
+            out.append(x)
+        else:
+            out += [x] * m
+    return tuple(out)
+
+
 def free_reduce(letters: Iterable[Letter]) -> tuple[Letter, ...]:
     """Cancel adjacent inverse pairs until none remain.
 
-    Idempotent; the result represents the same free-group element.
+    Idempotent; the result represents the same free-group element and keeps
+    the given letter tuples.  Each letter is read as a run of one: splitting
+    a letter sequence into runs costs more than it saves on words whose runs
+    all have length 1, and :func:`parse_word` hands each power over as one
+    run.
     """
-    stack: list[Letter] = []
-    for g, s in letters:
-        if stack and stack[-1][0] == g and stack[-1][1] == -s:
-            stack.pop()
-        else:
-            stack.append((g, s))
-    return tuple(stack)
+    return _reduce_runs(zip(letters, repeat(1)))
 
 
 @dataclass(frozen=True)
@@ -118,7 +144,8 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
     past ``MAX_WORD_LETTERS`` letters.
     """
     by_name = {g.name: i for i, g in enumerate(alphabet)}
-    letters: list[Letter] = []
+    runs: list[tuple[Letter, int]] = []
+    total = 0  # the letters of the powers read, before reduction
     pos = 0
     text = text.strip()
     if text in ("", "1"):
@@ -141,11 +168,17 @@ def parse_word(text: str, alphabet: Sequence[Generator]) -> Word:
                 raise WordError(f"unknown generator {name!r}")
         idx = by_name[name]
         exp = sign * (1 if exp_s is None else int(exp_s))
-        if len(letters) + abs(exp) > MAX_WORD_LETTERS:
+        total += abs(exp)
+        if total > MAX_WORD_LETTERS:
             raise WordError(f"word longer than {MAX_WORD_LETTERS} letters")
-        letters.extend([(idx, 1 if exp > 0 else -1)] * abs(exp))
+        if exp:
+            runs.append(((idx, 1 if exp > 0 else -1), abs(exp)))
         pos = m.end()
-    return Word(tuple(letters))
+    # each power is one run, and the word is reduced once, at the powers'
+    # boundaries, not letter by letter again in Word
+    word = object.__new__(Word)
+    object.__setattr__(word, "letters", _reduce_runs(runs))
+    return word
 
 
 @dataclass(frozen=True)

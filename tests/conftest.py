@@ -48,6 +48,15 @@ def dihedral_group(k: int):
     return group(("r", "s"), (f"r^{k}", "s^2", "s r s r"))
 
 
+# groups of several generators that the catalog lacks: an abelian one, and
+# one where the generator c is central and a and x are not
+Z2_Z6 = (("a", "b"), ("a^2", "b^6", "a b a^-1 b^-1"))
+Z3_Q8 = (
+    ("c", "a", "x"),
+    ("c^3", "a^4", "x^2 a^-2", "x^-1 a x a", "c a c^-1 a^-1", "c x c^-1 x^-1"),
+)
+
+
 @pytest.fixture
 def q8():
     return dicyclic_group(2)

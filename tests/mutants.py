@@ -1,9 +1,10 @@
 """Mutation checks: each known defect must make the tier-1 suite fail.
 
-``MUTANTS`` lists deliberate defects of the coset enumerator, the verdict
-gate, the Seifert flag policies, the class pairs, the Wh1 algebra and the
-command line, each as a file under ``src/``, the exact text it replaces and
-the text that replaces it.
+``MUTANTS`` lists deliberate defects of the coset enumerator, the central
+generators, the free reduction of parsed powers, the verdict gate, the
+Seifert flag policies, the class pairs, the Wh1 algebra and the command
+line, each as a file under ``src/``, the exact text it replaces and the text
+that replaces it.
 For each one the script copies ``src/`` to a temporary directory, applies
 the edit there and runs the tier-1 suite against the copy with ``pytest -x``
 under a time limit: first the tests named in the entry, the ones meant to
@@ -18,7 +19,7 @@ mutant survives, or cannot be applied or tested (an old text that does not
 occur exactly once, a named test that does not exist).  Tier-1 checks only
 that every old text still occurs exactly once and every named test exists
 (``tests/test_coset.py``), so that the list cannot rot silently; the
-twenty-seven mutants here take about 50 s together on a 2-vCPU host.
+thirty-one mutants here take about 50 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -100,6 +101,35 @@ MUTANTS = (
         "lo, hi = (x, y) if x < y else (y, x)",
         "lo, hi = (y, x) if x < y else (x, y)",
         COSET_TESTS,
+    ),
+    Mutant(
+        "a power written from one period one repetition short",
+        COSET,
+        "len(r.letters) // period if period else 1",
+        "len(r.letters) // period - 1 if period else 1",
+        f"{COSET_TESTS}::test_skip_matches_plain_hlt_on_catalog",
+    ),
+    # the central generators, and the run reduction of parsed powers
+    Mutant(
+        "the central test compares x.y with itself",
+        COSET,
+        "return tuple(map(eq, products, zip(*products)))",
+        "return tuple(map(eq, products, products))",
+        "tests/test_analysis.py::test_orbit_classes_match_brute_force",
+    ),
+    Mutant(
+        "a central letter's inverse read from the column of x, not x^-1",
+        COSET,
+        "list(map(itemgetter(col), table))",
+        "list(map(itemgetter(c), table))",
+        f"{COSET_TESTS}::test_table_primitives_match_mul_and_inv",
+    ),
+    Mutant(
+        "a partly cancelled run loses its remainder",
+        "whdetect/words.py",
+        "                m -= c\n",
+        "                m = 0\n",
+        "tests/test_words.py::test_parsed_powers_reduce_as_runs",
     ),
     # the verdict gate and the Seifert flag policies
     Mutant(

@@ -1,8 +1,12 @@
 import pytest
 
 from whdetect.analysis import conjugacy_classes, is_ambivalent
+from whdetect.catalog import cyclic, dicyclic
+from whdetect.coset import FiniteGroupRealization, realize_presentation
 
 from conftest import (
+    Z2_Z6,
+    Z3_Q8,
     binary_polyhedral_group,
     cyclic_group,
     dicyclic_group,
@@ -22,6 +26,8 @@ ALL_GROUPS = {
     "O48": lambda: binary_polyhedral_group(4),
     "I120": lambda: binary_polyhedral_group(5),
     "D8": lambda: dihedral_group(4),
+    "Z2xZ6": lambda: group(*Z2_Z6),
+    "Z3xQ8": lambda: group(*Z3_Q8),
 }
 
 
@@ -47,6 +53,20 @@ def test_orbit_classes_match_brute_force(name):
     G = ALL_GROUPS[name]()
     profile = conjugacy_classes(G)
     assert sorted(profile.classes) == sorted(brute_force_classes(G))
+
+
+def test_central_generators_build_no_left_rows(monkeypatch):
+    """A central generator needs no conjugation permutation and its inverse
+    no left row, so an abelian group builds none; a group without a central
+    generator builds one row per generator image for the conjugations and
+    one per inverse letter for ``inv``, 6 on the dicyclic group of order 72."""
+    rows = []
+    left = FiniteGroupRealization.left
+    monkeypatch.setattr(FiniteGroupRealization, "left", lambda G, t: rows.append(t) or left(G, t))
+    assert conjugacy_classes(realize_presentation(cyclic(150))).n_classes == 150
+    assert rows == []
+    assert conjugacy_classes(realize_presentation(dicyclic(18))).n_classes == 21
+    assert len(rows) <= 6
 
 
 def test_q8_profile():

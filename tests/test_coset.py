@@ -23,6 +23,8 @@ from whdetect.whitehead import CoefficientSystem, involution_space, wh1_general
 from whdetect.words import Generator, Presentation, Word, make_presentation, parse_word
 
 from conftest import (
+    Z2_Z6,
+    Z3_Q8,
     binary_polyhedral_group,
     cyclic_group,
     dicyclic_group,
@@ -572,12 +574,18 @@ def test_word_evaluation():
     assert G.evaluate_word(rel) == 0
 
 
-@pytest.mark.parametrize("entry", builtin_groups(60), ids=lambda e: e.name)
-def test_table_primitives_match_mul_and_inv(entry):
+@pytest.mark.parametrize(
+    "presentation",
+    [pytest.param(e.presentation, id=e.name) for e in builtin_groups(60)]
+    + [pytest.param(make_presentation(*Z2_Z6), id="Z2xZ6"),
+       pytest.param(make_presentation(*Z3_Q8), id="Z3xQ8")],
+)
+def test_table_primitives_match_mul_and_inv(presentation):
     """Everything read from the coset table and word tree agrees with the
     full multiplication table and the inverses."""
-    G = realize_presentation(entry.presentation)
+    G = realize_presentation(presentation)
     n, mul, inv, imgs = G.order, G.mul, G.inv, G.generator_images
+    assert G.central == tuple(all(mul[x][b] == mul[b][x] for b in range(n)) for x in imgs)
     assert sorted(b for b, _, _ in G.tree) == list(range(1, n))
     for b, a, c in G.tree:
         x = imgs[c >> 1]  # column 2g is the generator g, column 2g+1 its inverse

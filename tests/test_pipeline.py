@@ -1,3 +1,4 @@
+import functools
 import json
 import sys
 
@@ -594,3 +595,67 @@ def test_tietze_rewrites_keep_the_report(entry, data):
         assert _invariants(rewrite(entry.presentation, data.draw), entry) == want, rewrite
         composed = rewrite(composed, data.draw)
     assert _invariants(composed, entry) == want
+
+
+# ---------------------------------------------------------------------------
+# Direct products: an oracle that reads no element index
+# ---------------------------------------------------------------------------
+
+MAX_PRODUCT_ORDER = 2000
+FACTORS = builtin_groups(MAX_PRODUCT_ORDER // 2)
+CYCLIC_FACTORS = [e for e in FACTORS if e.name.startswith("cyclic_")]
+OTHER_FACTORS = [e for e in FACTORS if not e.name.startswith("cyclic_")]
+
+
+def direct_product(p: Presentation, q: Presentation) -> Presentation:
+    """G x H: the generators of both, renamed apart, the relators of both,
+    and the commutator [g, h] of every generator g of G with every generator
+    h of H."""
+    r = p.rank
+    gens = tuple(Generator(f"{g.name}_1") for g in p.generators) + tuple(
+        Generator(f"{h.name}_2") for h in q.generators
+    )
+    shifted = tuple(Word(tuple((h + r, s) for h, s in w.letters)) for w in q.relators)
+    commutators = tuple(
+        Word(((g, 1), (r + h, 1), (g, -1), (r + h, -1))) for g in range(r) for h in range(q.rank)
+    )
+    return Presentation(gens, p.relators + shifted + commutators)
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_report(entry):
+    return analyze(entry.presentation)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_direct_product_report_follows_from_the_factors(data):
+    """The classes of G x H are the products of a class of G and one of H,
+    and inversion acts on both factors, so the report of G x H, after the
+    four Tietze rewrites, follows from the reports of G and H: order
+    |G|.|H|, c_G.c_H classes, and (s_G + 1)(s_H + 1) self-inverse ones, the
+    identity's among them, while the others pair up; the product is
+    ambivalent exactly when both factors are.  Half the factors drawn are
+    cyclic and half are not, so products of several generators fall on both
+    sides of the abelian case."""
+    def factor(room):
+        return data.draw(st.one_of(
+            st.sampled_from([e for e in CYCLIC_FACTORS if e.known_order <= room]),
+            st.sampled_from([e for e in OTHER_FACTORS if e.known_order <= room] or CYCLIC_FACTORS[:1]),
+        ))
+
+    g = factor(MAX_PRODUCT_ORDER)
+    h = factor(MAX_PRODUCT_ORDER // g.known_order)
+    a, b = _factor_report(g), _factor_report(h)
+    p = direct_product(g.presentation, h.presentation)
+    for rewrite in (_rotate, _invert, _redundant, _rename):
+        p = rewrite(p, data.draw)
+    report = analyze(p)
+    classes = a.class_count * b.class_count
+    self_inverse = (a.class_count - 2 * a.detection_rank) * (b.class_count - 2 * b.detection_rank)
+    assert report.order == a.order * b.order
+    assert report.class_count == classes
+    assert report.ambivalent == (a.ambivalent and b.ambivalent)
+    assert report.detection_rank == (classes - self_inverse) // 2
+    assert report.wh1_dim == classes - 1
+    assert report.z4_dim == classes - 1 - report.detection_rank

@@ -1,4 +1,6 @@
+import itertools
 import random
+from math import prod
 
 import numpy as np
 import pytest
@@ -261,6 +263,42 @@ def test_sign_action_on_torsion_consistent(gamma, want):
     r = len(gamma)
     coeff = CoefficientSystem(gamma, (tuple(tuple(-(i == j) for j in range(r)) for i in range(r)),))
     assert wh1_general(cyclic_group(2), coeff).invariant_factors == want
+
+
+def diagonal_sign_actions(n_gens: int, rank: int):
+    """Every action of n_gens generators by diagonal matrices of signs +-1
+    on a rank-r Gamma, each as (signs per generator, action)."""
+    for signs in itertools.product(itertools.product((1, -1), repeat=rank), repeat=n_gens):
+        action = tuple(
+            tuple(tuple(v[i] * (i == j) for j in range(rank)) for i in range(rank)) for v in signs
+        )
+        yield signs, action
+
+
+@pytest.mark.parametrize("entry", builtin_groups(60), ids=lambda e: e.name)
+def test_diagonal_sign_actions_accepted_exactly_when_relators_keep_the_signs(entry):
+    """A diagonal action by signs on Gamma = sum of Z/n_i acts through pi
+    exactly when, on every coordinate where -1 is not 1 (n_i other than 1
+    and 2), the signs of the generators multiply to 1 along every relator.
+    ``wh1_general`` must accept those actions and refuse the others, so a
+    check that wrongly refuses a consistent action fails here, even when the
+    dense oracle refuses it alike."""
+    G = realize_presentation(entry.presentation)
+    for gamma in BENCH_GAMMAS:
+        for signs, action in diagonal_sign_actions(len(G.generator_images), len(gamma)):
+            consistent = all(
+                prod(signs[g][i] for g, _ in rel.letters) == 1
+                for rel in G.source.relators
+                for i, n in enumerate(gamma)
+                if n not in (1, 2)
+            )
+            try:
+                wh1_general(G, CoefficientSystem(gamma, action))
+            except CoefficientError:
+                accepted = False
+            else:
+                accepted = True
+            assert accepted == consistent, (gamma, signs)
 
 
 def _counting(monkeypatch, name):

@@ -72,6 +72,40 @@ letters = st.lists(
 )
 
 
+def letterwise(letters) -> tuple:
+    """Free reduction one letter at a time: the oracle for the reduction by
+    runs."""
+    stack = []
+    for g, s in letters:
+        if stack and stack[-1] == (g, -s):
+            stack.pop()
+        else:
+            stack.append((g, s))
+    return tuple(stack)
+
+
+@given(letters)
+def test_free_reduce_matches_letterwise(ls):
+    assert free_reduce(ls) == letterwise(ls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 1), st.integers(-6, 6)), max_size=12))
+def test_parsed_powers_reduce_as_runs(powers):
+    """parse_word reduces each power as one run, partly cancelled runs
+    included, to the word that reducing its letters one at a time gives."""
+    text = " ".join(f"{AB[g].name}^{e}" for g, e in powers)
+    written = [(g, 1 if e > 0 else -1) for g, e in powers for _ in range(abs(e))]
+    assert parse_word(text, AB).letters == letterwise(written)
+
+
+def test_parsed_power_shares_one_letter_tuple():
+    """Each power's letters are one tuple, kept through free reduction."""
+    w = parse_word("a^150 x a^-3 a^5", AB)
+    assert len(w) == 153
+    assert len({id(letter) for letter in w.letters}) == 3
+
+
 @given(letters)
 def test_free_reduce_idempotent(ls):
     once = free_reduce(ls)
