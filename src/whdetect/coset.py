@@ -9,28 +9,32 @@ inverse, indexed by coset, with -1 for an undefined entry, and the rows are
 read off the columns at the end.  Each relator is split once, at its runs,
 into segments: stretches of letters, which a scan reads by iterating their
 column lists, and runs, which it crosses in one step where it can (below).
-A proper power w^k is written from one period: the columns and column lists
-of w are found once and repeated k times by list multiplication.
+A power g^N (N >= 2) of one generator is written from its one column: the
+column and its column lists are repeated N times by list multiplication.
 Where the forward and backward reads of a scan stop, the cosets between are
 defined in one run.  The budget is tested only when the per-coset arrays
 grow, since they grow by doubling and never past it.
 
 Two shortcuts rest on one invariant: definitions only add edges and
 coincidence processing maps each edge to one between representatives, so a
-closed trace stays closed.  A relator that is a proper power w^k (k >= 2) is
-scanned once per w-cycle instead of once per coset: once its scan at a live
-coset alpha has closed, one walk round the cycle marks every alpha.w^i, and
-the relator is not scanned again at a marked coset (Havas and Ramsay, Coset
-enumeration: ACE, 2001).  When w is a single generator g that also has a run
-g^k or g^-k, k >= 2, in another relator, the same walk records each coset's
-place on its g-cycle, and a scan crosses every such run in one step: from a
-live coset at place i on a cycle of length L, g^k leads to the representative
-of the coset at place (i + k) mod L (Holt, Eick and O'Brien, Handbook of
-Computational Group Theory, 2005, sec. 5.1).  A skipped scan or a crossed run
-would have defined, deduced and merged nothing, so the definitions, the budget
-count and the rows are those of plain HLT, and a presentation such as the
-dicyclic x^2 a^-l is enumerated in time linear in the order instead of
-quadratic.
+closed trace stays closed.  A relator that is a power g^N of one generator
+is scanned once per g-cycle instead of once per coset: once its scan at a
+live coset alpha has closed, one walk round the cycle marks every
+alpha.g^i, and the relator is not scanned again at a marked coset (Havas and
+Ramsay, Coset enumeration: ACE, 2001).  Every other relator, (ab)^n
+included, is scanned at every live coset: a coincidence hands a dead
+coset's cycle to the coset that survives it but not its mark, so on
+<a, b | a^2, b^2, (ab)^500> marks for (ab)^500 took 500 walks of 500 steps
+to spare 500 of its 1,000 scans, and cost more time than they saved.
+When g also has a run g^k or g^-k, k >= 2, in another relator, the walk
+round a g-cycle records each coset's place on it, and a scan crosses every
+such run in one step: from a live coset at place i on a cycle of length L,
+g^k leads to the representative of the coset at place (i + k) mod L (Holt,
+Eick and O'Brien, Handbook of Computational Group Theory, 2005, sec. 5.1).
+A skipped scan or a crossed run would have defined, deduced and merged
+nothing, so the definitions, the budget count and the rows are those of
+plain HLT, and a presentation such as the dicyclic x^2 a^-l is enumerated
+in time linear in the order instead of quadratic.
 
 The completed table is itself the finite group: elements are the cosets,
 with the identity at index 0, and the table is the right regular action of
@@ -75,15 +79,6 @@ class IncompleteTableError(RuntimeError):
 def _col(letter: tuple[int, int]) -> int:
     g, s = letter
     return 2 * g + (0 if s > 0 else 1)
-
-
-def _proper_period(word: Sequence) -> int:
-    """Length of the shortest w with word = w^k for some k >= 2, else 0."""
-    n = len(word)
-    for p in range(1, n // 2 + 1):
-        if n % p == 0 and word[p:] == word[:-p]:
-            return p
-    return 0
 
 
 def _long_runs(cols: Sequence[int], powered: set[int]) -> list[tuple[int, int]]:
@@ -298,28 +293,19 @@ class _Enumerator:
             backward[i][b] = f
 
     def mark_cycle(
-        self, alpha: int, period: list[list[int]], marks: bytearray,
+        self, alpha: int, col: list[int], marks: bytearray,
         cycle_of: list | None = None, position: list[int] | None = None,
     ) -> None:
-        """Mark alpha.w^i for every i, once alpha's scan of w^k has closed.
+        """Mark alpha.g^i for every i, once alpha's scan of a power of g has
+        closed; ``col`` is the column of g, whatever the sign of the power.
 
-        ``period`` holds the column lists of w; for a power of g it is the
-        column of g, whatever the sign of the power.  With ``cycle_of`` and
-        ``position`` the walk also records the cycle as the list alpha.g^i
-        for i = 0, 1, ...: ``cycle_of[beta]`` is that list and
-        ``position[beta]`` beta's place on it.  The cycle stays closed, so
-        from a live beta at place i, beta.g^m is the representative of
+        With ``cycle_of`` and ``position`` the walk also records the cycle as
+        the list alpha.g^i for i = 0, 1, ...: ``cycle_of[beta]`` is that list
+        and ``position[beta]`` beta's place on it.  The cycle stays closed,
+        so from a live beta at place i, beta.g^m is the representative of
         ``cycle[(i + m) % len(cycle)]`` for every m.
         """
-        beta = alpha
-        if len(period) > 1:  # only the cycles of a power of one generator are recorded
-            while True:
-                marks[beta] = 1
-                for col in period:
-                    beta = col[beta]
-                if beta == alpha:
-                    return
-        col, cycle = period[0], []
+        beta, cycle = alpha, []
         while True:
             marks[beta] = 1
             if cycle_of is not None:
@@ -386,28 +372,28 @@ def enumerate_cosets(
         )
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    periods = [_proper_period(r.letters) for r in p.relators]
-    # each relator as w^k, k = 1 unless it is a proper power: the column of
-    # each letter of the period w, as _col gives it, and k; the relator's
-    # columns and its forward and backward lists are w's, repeated
+    # each relator's columns, as _col gives them: a power g^N (N >= 2) of one
+    # generator is its one column repeated N times, and so are its forward
+    # and backward lists below
+    words = [r.letters for r in p.relators]
+    powers = [len(w) > 1 and w.count(w[0]) == len(w) for w in words]
     heads = [
-        ([2 * g + (s < 0) for g, s in r.letters[: period or len(r.letters)]],
-         len(r.letters) // period if period else 1)
-        for r, period in zip(p.relators, periods)
+        ([2 * g + (s < 0) for g, s in (w[:1] if power else w)], len(w) if power else 1)
+        for w, power in zip(words, powers)
     ]
     letters = [head * k for head, k in heads]
-    powered = {w[0] >> 1 for w, period in zip(letters, periods) if period == 1}
-    # the runs of powered generators in each relator that is not a power g^N
+    powered = {w[0] >> 1 for w, power in zip(letters, powers) if power}
+    # the runs of powered generators in each relator that is not a power
     runs = [
-        _long_runs(w, powered) if powered and period != 1 else []
-        for w, period in zip(letters, periods)
+        _long_runs(w, powered) if powered and not power else []
+        for w, power in zip(letters, powers)
     ]
     # per generator g with a power g^N and a run in another relator, and per
     # coset, its g-cycle and its place on that cycle
     crossed = {w[i] >> 1 for w, rs in zip(letters, runs) for i, _ in rs}
     index = {g: (st.per_coset([None]), st.per_coset([0])) for g in crossed}
     relators = []
-    for w, (head, k), period, rs in zip(letters, heads, periods, runs):
+    for w, (head, k), power, rs in zip(letters, heads, powers, runs):
         forward = [cols[c] for c in head] * k
         backward = [cols[c ^ 1] for c in head] * k
         # the stretches between the runs, and the runs
@@ -419,10 +405,11 @@ def enumerate_cosets(
                 run = (*index[w[start] >> 1], -1 if w[start] & 1 else 1)
                 ahead.append((start, end, forward[start:end], run))
             done = end
-        marks = st.per_coset(bytearray(1)) if period else None
         # a power of g walks the column of g, the direction its places count in
-        walk = [cols[w[0] & ~1]] if period == 1 else forward[:period]
-        cycle = index.get(w[0] >> 1, (None, None)) if period == 1 else (None, None)
+        g = w[0] >> 1 if power else None
+        walk = cols[2 * g] if power else None
+        marks = st.per_coset(bytearray(1)) if power else None
+        cycle = index.get(g, (None, None))
         relators.append(((ahead, ahead[::-1], forward, backward), walk, marks, *cycle))
     scan, mark_cycle, define = st.scan, st.mark_cycle, st.define
     # each column with the column of the inverse letter, for definitions and

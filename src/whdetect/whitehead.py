@@ -13,11 +13,11 @@ of Groups, ch. III; Oliver, Whitehead Groups of Finite Groups, 1988)
 matrix, read off the diagonal of an exact Smith normal form: Gamma's
 torsion, and the relations of the class that are left at x once elementary
 row operations along a spanning tree of the class have eliminated the
-others.  Every r x r product over Gamma, in the relator check and in the
-class walks, goes through the numbered image of the action: an action
-through pi takes at most |pi| matrices, one per element, so each gets an
-integer id and each distinct pair of ids is multiplied once, however many
-relator letters and class edges ask for it.  The tests certify that
+others.  Every r x r product over Gamma, in the inverse walks, the
+relator check and the class walks, goes through the numbered image of the
+action: an action through pi takes at most |pi| matrices, one per element,
+so each gets an integer id and each distinct pair of ids is multiplied
+once, however many powers, relator letters and class edges ask for it.  The tests certify that
 diagonal against a reference that also builds the unimodular transforms,
 and compare ``wh1_general`` with ``wh1_dense``, one Smith normal form of
 the whole (r * |pi|)-column relation matrix.  For Gamma = Z/2 with the
@@ -167,25 +167,6 @@ def _reduce(mat: IntMatrix, factors: tuple[int, ...]) -> IntMatrix:
     return [[x % f if f else x for x, f in zip(row, factors)] for row in mat]
 
 
-def _inverse(mat: IntMatrix, factors: tuple[int, ...], order: int) -> IntMatrix:
-    """mat^-1 as a power of mat, modulo Gamma's torsion.
-
-    ``order`` is the order in pi of the element mat acts by; an action
-    through pi must reach the identity within that many powers.
-    """
-    ident = _reduce(_identity(len(factors)), factors)
-    power = _identity(len(factors))
-    for _ in range(order):
-        nxt = _reduce(_matmul(power, mat), factors)
-        if nxt == ident:
-            return power
-        power = nxt
-    raise CoefficientError(
-        f"action matrix is not of order dividing {order}, the order of its"
-        " generator in pi"
-    )
-
-
 class _ActionImage:
     """The matrices an action takes, numbered, with every product memoized.
 
@@ -195,18 +176,16 @@ class _ActionImage:
     through pi takes at most |pi| matrices, one per element, so the ids and
     the table stay that small however many letters or edges ask for them.
     The identity has id 0, and ``gens[g]`` holds the ids of generator g's
-    (matrix, inverse) pair.
+    (matrix, inverse) pair, as :func:`check_action_consistency` numbers them.
     """
 
-    def __init__(
-        self, factors: tuple[int, ...], actions: list[tuple[IntMatrix, IntMatrix]]
-    ) -> None:
+    def __init__(self, factors: tuple[int, ...]) -> None:
         self.factors = factors
         self.ids: dict[tuple[tuple[int, ...], ...], int] = {}
         self.mats: list[IntMatrix] = []
         self.products: dict[tuple[int, int], int] = {}
         self.number(_identity(len(factors)))
-        self.gens = [(self.number(mat), self.number(inv)) for mat, inv in actions]
+        self.gens: list[tuple[int, int]] = []
 
     def number(self, mat: IntMatrix) -> int:
         reduced = _reduce(mat, self.factors)
@@ -222,11 +201,28 @@ class _ActionImage:
             self.products[key] = self.number(_matmul(self.mats[a], self.mats[b]))
         return self.products[key]
 
+    def inverse(self, a: int, order: int) -> int:
+        """The id of the inverse of matrix a, found as a power of it.
+
+        ``order`` is the order in pi of the element matrix a acts by; an
+        action through pi must reach the identity within that many powers.
+        """
+        power = 0
+        for _ in range(order):
+            nxt = self.mul(power, a)
+            if nxt == 0:
+                return power
+            power = nxt
+        raise CoefficientError(
+            f"action matrix is not of order dividing {order}, the order of its"
+            " generator in pi"
+        )
+
 
 def check_action_consistency(
     G: FiniteGroupRealization, coeff: CoefficientSystem
-) -> list[tuple[IntMatrix, IntMatrix]]:
-    """Validate the action against pi; return each generator's (matrix, inverse).
+) -> _ActionImage:
+    """Validate the action against pi; return its numbered image.
 
     The action must give one r x r integer matrix per presentation generator
     of pi.  Row k is the image of Gamma's k-th generator gamma_k, so each
@@ -234,9 +230,10 @@ def check_action_consistency(
     (f = 0 meaning Z), or gamma_k would not keep its order f_k.  Each
     matrix must reach the identity, modulo Gamma's torsion, within as many
     powers as its generator's order in pi, and the products along every
-    defining relator of pi must be the identity.  Those products go through
-    the numbered image of the action (``_ActionImage``): a relator multiplies
-    ids, and each distinct pair of matrices is multiplied once.  Raises
+    defining relator of pi must be the identity.  The powers and those
+    products go through the numbered image of the action (``_ActionImage``):
+    they multiply ids, and each distinct pair of matrices is multiplied
+    once.  The image holds each generator's (matrix, inverse) ids.  Raises
     :class:`CoefficientError` otherwise, for a negative invariant factor, and
     for more than ``MAX_GAMMA_RANK`` invariant factors of Gamma, before any
     matrix is built.
@@ -268,11 +265,10 @@ def check_action_consistency(
                         f"action of generator {g} is not an endomorphism of"
                         f" Gamma: row {k} does not respect the order {fk}"
                     )
-    actions = [
-        (mat, _inverse(mat, factors, element_order(G, img)))
-        for mat, img in zip(gen_mats, G.generator_images)
-    ]
-    image = _ActionImage(factors, actions)
+    image = _ActionImage(factors)
+    for mat, img in zip(gen_mats, G.generator_images):
+        a = image.number(mat)
+        image.gens.append((a, image.inverse(a, element_order(G, img))))
     for rel in G.source.relators:
         acc = 0  # the identity
         for g, s in rel.letters:
@@ -281,7 +277,7 @@ def check_action_consistency(
             raise CoefficientError(
                 f"action does not respect relator {rel.display(G.source.generators)}"
             )
-    return actions
+    return image
 
 
 def _coprime_base(values: Iterable[int]) -> list[int]:
@@ -356,7 +352,7 @@ def wh1_general(
     matrix instead and must agree.
     """
     factors, r = coeff.invariant_factors, coeff.rank
-    image = _ActionImage(factors, check_action_consistency(G, coeff))
+    image = check_action_consistency(G, coeff)
     torsion = [[f * (i == k) for i in range(r)] for k, f in enumerate(factors) if f]
     steps: dict[int, tuple[list[int], tuple[int, int]]] = {}
     for g, img in enumerate(G.generator_images):

@@ -19,7 +19,7 @@ mutant survives, or cannot be applied or tested (an old text that does not
 occur exactly once, a named test that does not exist).  Tier-1 checks only
 that every old text still occurs exactly once and every named test exists
 (``tests/test_coset.py``), so that the list cannot rot silently; the
-thirty-one mutants here take about 50 s together on a 2-vCPU host.
+thirty-two mutants here take about 70 s together on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -103,11 +103,18 @@ MUTANTS = (
         COSET_TESTS,
     ),
     Mutant(
-        "a power written from one period one repetition short",
+        "a power written from its one column one repetition short",
         COSET,
-        "len(r.letters) // period if period else 1",
-        "len(r.letters) // period - 1 if period else 1",
+        "len(w) if power else 1",
+        "len(w) - 1 if power else 1",
         f"{COSET_TESTS}::test_skip_matches_plain_hlt_on_catalog",
+    ),
+    Mutant(
+        "a relator one letter short of a power taken for one",
+        COSET,
+        "w.count(w[0]) == len(w)",
+        "w.count(w[0]) >= len(w) - 1",
+        f"{COSET_TESTS}::test_only_powers_of_one_generator_are_marked",
     ),
     # the central generators, and the run reduction of parsed powers
     Mutant(

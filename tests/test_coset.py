@@ -355,6 +355,39 @@ def test_power_relator_scanned_once_per_cycle(monkeypatch):
     assert len(calls) <= 2
 
 
+# relators, and the lengths of those whose cycles get marks: only a power
+# g^N, N >= 2, of one generator, whatever its sign
+MARKED = {
+    "a^N": (["a^12"], {12}),
+    "a^-N": (["a^-12"], {12}),
+    "(ab)^n": (["a^2", "b^3", "a b a b a b a b a b"], {2, 3}),
+    "one letter": (["a", "b^3"], {3}),
+    "empty": (["a^4", "1"], {4}),
+    "a^3 b": (["a^3 b", "b^2"], {2}),
+}
+
+
+@pytest.mark.parametrize("relators, marked", MARKED.values(), ids=MARKED.keys())
+def test_only_powers_of_one_generator_are_marked(monkeypatch, relators, marked):
+    """``mark_cycle`` runs after a scan of a^N or a^-N and never after one
+    of (ab)^n, a^3 b, a one-letter relator or the empty relator; the
+    relators of each presentation differ in length, which names the one
+    scanned last.
+    The rows are plain HLT's either way."""
+    p = make_presentation(["a", "b"], relators)
+    calls = _count_scans(monkeypatch)
+    after = set()
+    mark_cycle = _Enumerator.mark_cycle
+
+    def recorded(self, *args):
+        after.add(len(calls[-1][2]))  # the forward column lists of the relator
+        return mark_cycle(self, *args)
+
+    monkeypatch.setattr(_Enumerator, "mark_cycle", recorded)
+    assert outcome(enumerate_cosets, p, 500) == outcome(hlt_plain, p, 500)
+    assert after == marked
+
+
 def test_every_scan_goes_through_a_scan_method(monkeypatch):
     """Every dicyclic relator is scanned through the patched method, and
     only x^2 a^-ell has a run to cross, a^-ell, however short: a^(2 ell)

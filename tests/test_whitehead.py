@@ -185,7 +185,7 @@ def wh1_dense(G, coeff):
     gamma_k.g - (s.gamma_k).(s g s^-1).  One Smith normal form of the
     (r*n)-column matrix gives the cokernel.
     """
-    actions = check_action_consistency(G, coeff)
+    image = check_action_consistency(G, coeff)
     r, n, factors = coeff.rank, G.order, coeff.invariant_factors
 
     def reduce(mat):
@@ -194,7 +194,7 @@ def wh1_dense(G, coeff):
     # the action matrix of every element, along the BFS word tree
     mats = {0: [[int(i == j) for j in range(r)] for i in range(r)]}
     for b, a, c in G.tree:
-        step = actions[c >> 1][c & 1]  # column 2g is g, column 2g+1 is g^-1
+        step = image.mats[image.gens[c >> 1][c & 1]]  # column 2g is g, column 2g+1 is g^-1
         mats[b] = reduce((np.array(mats[a], dtype=object) @ np.array(step, dtype=object)).tolist())
 
     def unit(k, g):
