@@ -6,11 +6,13 @@ in row-major order), so completed tables are reproducible bit-for-bit.
 
 The working table is stored column-major: one list per generator and one per
 inverse, indexed by coset, with -1 for an undefined entry, and the rows are
-read off the columns at the end.  Each relator is split once, at its runs,
-into segments: stretches of letters, which a scan reads by iterating their
-column lists, and runs, which it crosses in one step where it can (below).
-A power g^N (N >= 2) of one generator is written from its one column: the
-column and its column lists are repeated N times by list multiplication.
+read off the columns at the end.  Each relator is read once as its maximal
+runs (:meth:`Word.runs`) and split into segments: stretches of letters,
+which a scan reads by iterating their column lists, and runs, which it
+crosses in one step where it can (below).  Every run g^k is written from
+its one column: its column lists, of g and of g^-1, are repeated k times
+by list multiplication.  A power g^N (N >= 2) of one generator is a
+relator of exactly one run.
 Where the forward and backward reads of a scan stop, the cosets between are
 defined in one run.  The budget is tested only when the per-coset arrays
 grow, since they grow by doubling and never past it.
@@ -53,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from operator import eq, itemgetter, length_hint
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .words import Presentation, Word
 
@@ -79,18 +81,6 @@ class IncompleteTableError(RuntimeError):
 def _col(letter: tuple[int, int]) -> int:
     g, s = letter
     return 2 * g + (0 if s > 0 else 1)
-
-
-def _long_runs(cols: Sequence[int], powered: set[int]) -> list[tuple[int, int]]:
-    """The maximal runs cols[start:end] of one letter repeated at least
-    twice, in order, of the generators in ``powered``."""
-    runs, start, n = [], 0, len(cols)
-    for i in range(1, n + 1):
-        if i == n or cols[i] != cols[start]:
-            if i - start >= 2 and cols[start] >> 1 in powered:
-                runs.append((start, i))
-            start = i
-    return runs
 
 
 class _Enumerator:
@@ -372,44 +362,39 @@ def enumerate_cosets(
         )
     st = _Enumerator(p.rank, max_cosets)
     cols, parent = st.cols, st.parent
-    # each relator's columns, as _col gives them: a power g^N (N >= 2) of one
-    # generator is its one column repeated N times, and so are its forward
-    # and backward lists below
-    words = [r.letters for r in p.relators]
-    powers = [len(w) > 1 and w.count(w[0]) == len(w) for w in words]
-    heads = [
-        ([2 * g + (s < 0) for g, s in (w[:1] if power else w)], len(w) if power else 1)
-        for w, power in zip(words, powers)
-    ]
-    letters = [head * k for head, k in heads]
-    powered = {w[0] >> 1 for w, power in zip(letters, powers) if power}
-    # the runs of powered generators in each relator that is not a power
-    runs = [
-        _long_runs(w, powered) if powered and not power else []
-        for w, power in zip(letters, powers)
-    ]
-    # per generator g with a power g^N and a run in another relator, and per
-    # coset, its g-cycle and its place on that cycle
-    crossed = {w[i] >> 1 for w, rs in zip(letters, runs) for i, _ in rs}
+    # each relator's runs ((g, s), k), and the generator g of a power g^N
+    # (N >= 2) of one generator, which is a relator of exactly one run, or None
+    words = [r.runs() for r in p.relators]
+    powers = [w[0][0][0] if len(w) == 1 < w[0][1] else None for w in words]
+    # per generator g with a power g^N and a run g^k or g^-k, k >= 2, in
+    # another relator, and per coset, its g-cycle and its place on that cycle
+    crossed = {
+        g for w, power in zip(words, powers) if power is None
+        for (g, _), k in w if k >= 2 and g in powers
+    }
     index = {g: (st.per_coset([None]), st.per_coset([0])) for g in crossed}
     relators = []
-    for w, (head, k), power, rs in zip(letters, heads, powers, runs):
-        forward = [cols[c] for c in head] * k
-        backward = [cols[c ^ 1] for c in head] * k
-        # the stretches between the runs, and the runs
-        ahead, done = [], 0
-        for start, end in (*rs, (len(w), len(w))):
-            if done < start:
-                ahead.append((done, start, forward[done:start], None))
-            if start < end:
-                run = (*index[w[start] >> 1], -1 if w[start] & 1 else 1)
-                ahead.append((start, end, forward[start:end], run))
-            done = end
+    for w, power in zip(words, powers):
+        # every run is its one column repeated k times, in the column lists
+        # of its letters and of their inverses, and a run of a crossed
+        # generator in a relator that is not a power is a segment of its own
+        forward, backward, ahead, done = [], [], [], 0
+        for (g, s), k in w:
+            c = 2 * g + (s < 0)
+            start = len(forward)
+            forward += [cols[c]] * k
+            backward += [cols[c ^ 1]] * k
+            if power is None and k >= 2 and g in crossed:
+                if done < start:
+                    ahead.append((done, start, forward[done:start], None))
+                done = len(forward)
+                ahead.append((start, done, forward[start:], (*index[g], s)))
+        if done < len(forward):
+            ahead.append((done, len(forward), forward[done:], None))
         # a power of g walks the column of g, the direction its places count in
-        g = w[0] >> 1 if power else None
-        walk = cols[2 * g] if power else None
-        marks = st.per_coset(bytearray(1)) if power else None
-        cycle = index.get(g, (None, None))
+        walk = None if power is None else cols[2 * power]
+        marks = None if power is None else st.per_coset(bytearray(1))
+        cycle = index.get(power, (None, None))
         relators.append(((ahead, ahead[::-1], forward, backward), walk, marks, *cycle))
     scan, mark_cycle, define = st.scan, st.mark_cycle, st.define
     # each column with the column of the inverse letter, for definitions and

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from itertools import islice, repeat, takewhile
+from itertools import groupby, islice, repeat, takewhile
 from typing import Iterable, Sequence
 
 Letter = tuple[int, int]
@@ -114,22 +114,16 @@ class Word:
         """Largest generator index used, or -1 for the empty word."""
         return max((g for g, _ in self.letters), default=-1)
 
+    def runs(self) -> list[tuple[Letter, int]]:
+        """The maximal runs (x, m) of the word in order, x repeated m >= 1
+        times: the form :func:`_reduce_runs` takes."""
+        return [(x, len(list(run))) for x, run in groupby(self.letters)]
+
     def display(self, alphabet: Sequence[Generator]) -> str:
-        if not self.letters:
-            return "1"
-        parts = []
-        i = 0
-        letters = self.letters
-        while i < len(letters):
-            g, s = letters[i]
-            run = 1
-            while i + run < len(letters) and letters[i + run] == (g, s):
-                run += 1
-            exp = s * run
-            name = alphabet[g].name
-            parts.append(name if exp == 1 else f"{name}^{exp}")
-            i += run
-        return " ".join(parts)
+        return " ".join(
+            alphabet[g].name + ("" if s * m == 1 else f"^{s * m}")
+            for (g, s), m in self.runs()
+        ) or "1"
 
 
 _TOKEN = re.compile(rf"({_NAME.pattern})(?:\s*\^\s*(-?\d+))?")

@@ -193,11 +193,20 @@ def outcome(enumerate_, p, max_cosets):
 
 
 def test_cyclic_5():
+    """Z/5 is enumerated and realized, and the realized group refuses
+    elements past its order, as realize refuses rows that coset 0 does not
+    reach."""
     p = make_presentation(["a"], ["a^5"])
     rows = enumerate_cosets(p, 100)
     assert len(rows) == 5
     G = realize(rows, p)
     assert element_order(G, G.generator_images[0]) == 5
+    with pytest.raises(ValueError, match="out of range"):
+        element_order(G, G.order)
+    with pytest.raises(KeyError):
+        G.mul[G.order]
+    with pytest.raises(IncompleteTableError, match="not transitive"):
+        realize(rows + ((5, 5),), p)
 
 
 def test_q8_order_and_structure():

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import sys
@@ -228,11 +229,26 @@ def test_cli_analyze_presentation_file(tmp_path, capsys):
     assert payload["order"] == 8 and payload["ambivalent"] is True
 
 
-def test_cli_table73(capsys):
+def test_cli_table73(monkeypatch, capsys):
+    """The catalog passes; with one expectation flipped, the command exits 1
+    and prints the groups that differ as CSV."""
     code, out = run_cli(capsys, "table73", "--max-order", "24")
     assert code == 0
     assert out.startswith("PASS")
     assert "dicyclic_8" in out
+
+    def flipped(max_order):
+        return [
+            dataclasses.replace(e, expected_ambivalent=False) if e.name == "dicyclic_8" else e
+            for e in builtin_groups(max_order)
+        ]
+
+    monkeypatch.setattr("whdetect.pipeline.builtin_groups", flipped)
+    code, out = run_cli(capsys, "table73", "--max-order", "24")
+    assert code == 1
+    assert out.splitlines() == [
+        "name,expected_ambivalent,computed_ambivalent", "dicyclic_8,False,True"
+    ]
 
 
 def test_cli_analyze_preset_beyond_builtin_catalog(capsys):
@@ -637,7 +653,10 @@ def test_direct_product_report_follows_from_the_factors(data):
     identity's among them, while the others pair up; the product is
     ambivalent exactly when both factors are.  Half the factors drawn are
     cyclic and half are not, so products of several generators fall on both
-    sides of the abelian case."""
+    sides of the abelian case.  A rewrite can make HLT define far more
+    cosets than the order, as Z/314 x Z/6 with a^-314 b^-1 a^-314 b does,
+    which exhausts the default budget, so the product is enumerated with
+    the largest budget its rank allows, at least 1,250,000 cosets."""
     def factor(room):
         return data.draw(st.one_of(
             st.sampled_from([e for e in CYCLIC_FACTORS if e.known_order <= room]),
@@ -650,7 +669,7 @@ def test_direct_product_report_follows_from_the_factors(data):
     p = direct_product(g.presentation, h.presentation)
     for rewrite in (_rotate, _invert, _redundant, _rename):
         p = rewrite(p, data.draw)
-    report = analyze(p)
+    report = analyze(p, budget=coset.MAX_TABLE_ENTRIES // (2 * p.rank))
     classes = a.class_count * b.class_count
     self_inverse = (a.class_count - 2 * a.detection_rank) * (b.class_count - 2 * b.detection_rank)
     assert report.order == a.order * b.order

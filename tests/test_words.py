@@ -93,10 +93,15 @@ def test_free_reduce_matches_letterwise(ls):
 @given(st.lists(st.tuples(st.integers(0, 1), st.integers(-6, 6)), max_size=12))
 def test_parsed_powers_reduce_as_runs(powers):
     """parse_word reduces each power as one run, partly cancelled runs
-    included, to the word that reducing its letters one at a time gives."""
+    included, to the word that reducing its letters one at a time gives,
+    and ``runs()`` reads that word back as maximal runs."""
     text = " ".join(f"{AB[g].name}^{e}" for g, e in powers)
     written = [(g, 1 if e > 0 else -1) for g, e in powers for _ in range(abs(e))]
-    assert parse_word(text, AB).letters == letterwise(written)
+    w = parse_word(text, AB)
+    assert w.letters == letterwise(written)
+    runs = w.runs()
+    assert tuple(x for x, m in runs for _ in range(m)) == w.letters
+    assert all(x != y for (x, _), (y, _) in zip(runs, runs[1:]))
 
 
 def test_parsed_power_shares_one_letter_tuple():
